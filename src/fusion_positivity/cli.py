@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import csv as _csv
 import os
-import io
 import json
 import sys
 import time
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
-from typing import Any, List, Sequence, Tuple
+from types import ModuleType
+from typing import Any, List, NamedTuple, Sequence, Tuple
 
 from .errors import FusionError, LabelDomainError
 from .fusion_core import (
@@ -40,95 +40,111 @@ from . import parafermion_slr as slr
 from .suites import SUITES, run_suite
 
 
-def parse_label(text: str):
+@dataclass(frozen=True)
+class Instance:
+    """One algebra instance: its label syntax, its datum and its named subrings.
+
+    Functions are held by name and looked up on ``module`` at call time, so a
+    wrapper installed on the module later (a tracer, say) sees every call.
+    """
+
+    name: str  # the --algebra value
+    prefix: str  # label syntax
+    module: ModuleType
+    parser: str
+    datum: str
+    params: Tuple[Tuple[str, str], ...]  # (label attribute, flag) per datum argument, in order
+    subrings: Tuple[Tuple[str, str], ...] = ()  # (--subring value, function of the datum arguments)
+
+    def parse(self, text: str):
+        return getattr(self.module, self.parser)(text)
+
+    def build(self, params: tuple) -> FusionDatum:
+        return getattr(self.module, self.datum)(*params)
+
+    def params_of(self, label) -> tuple:
+        return tuple(getattr(label, attr) for attr, _ in self.params)
+
+
+INSTANCES = {
+    instance.name: instance
+    for instance in (
+        Instance("sl2", "M[", sl2, "parse_sl2_label", "datum_sl2", (("k", "level"),),
+                 (("T", "subring_T"), ("S1", "subring_S1"))),
+        Instance("slr", "S[", slr, "parse_slr_label", "datum_slr", (("r", "rank"), ("k", "level"))),
+        Instance("affine", "A[", affine, "parse_affine_label", "datum_affine_sl2", (("k", "level"),)),
+        Instance("cyclic", "Z[", affine, "parse_cyclic_label", "datum_cyclic", (("m", "level"),)),
+    )
+}
+SUBRINGS = ("full",) + tuple(dict.fromkeys(name for i in INSTANCES.values() for name, _ in i.subrings))
+
+
+def _parse(text: str) -> Tuple[Instance, Any]:
     text = text.strip()
-    if text.startswith("M["):
-        return sl2.parse_sl2_label(text)
-    if text.startswith("S["):
-        return slr.parse_slr_label(text)
-    if text.startswith("A["):
-        return affine.parse_affine_label(text)
-    if text.startswith("Z["):
-        return affine.parse_cyclic_label(text)
+    for instance in INSTANCES.values():
+        if text.startswith(instance.prefix):
+            return instance, instance.parse(text)
     raise LabelDomainError(f"unrecognized label syntax {text!r}")
 
 
-def datum_for_labels(labels: Sequence[Any]) -> FusionDatum:
-    first = labels[0]
-    if isinstance(first, sl2.Sl2Label):
-        if any(not isinstance(m, sl2.Sl2Label) or m.k != first.k for m in labels):
-            raise LabelDomainError("labels mix algebras or levels")
-        return sl2.datum_sl2(first.k)
-    if isinstance(first, slr.TupleLabel):
-        if any(not isinstance(m, slr.TupleLabel) or (m.k, m.r) != (first.k, first.r) for m in labels):
-            raise LabelDomainError("labels mix algebras or parameters")
-        return slr.datum_slr(first.r, first.k)
-    if isinstance(first, affine.AffineSl2Label):
-        if any(not isinstance(m, affine.AffineSl2Label) or m.k != first.k for m in labels):
-            raise LabelDomainError("labels mix algebras or levels")
-        return affine.datum_affine_sl2(first.k)
-    if isinstance(first, affine.CyclicLabel):
-        if any(not isinstance(m, affine.CyclicLabel) or m.m != first.m for m in labels):
-            raise LabelDomainError("labels mix algebras or orders")
-        return affine.datum_cyclic(first.m)
-    raise LabelDomainError(f"no datum for label {first!r}")
+def parse_label(text: str):
+    return _parse(text)[1]
 
 
-def _check_context(args, labels: Sequence[Any]) -> None:
-    """Cross-check optional --algebra/--level/--rank flags against the labels."""
-    first = labels[0]
-    algebra = getattr(args, "algebra", None)
-    kinds = {
-        "sl2": sl2.Sl2Label,
-        "slr": slr.TupleLabel,
-        "affine": affine.AffineSl2Label,
-        "cyclic": affine.CyclicLabel,
-    }
-    if algebra and not isinstance(first, kinds[algebra]):
-        raise LabelDomainError(f"label {first} does not belong to --algebra {algebra}")
-    level = getattr(args, "level", None)
-    if level is not None:
-        actual = first.m if isinstance(first, affine.CyclicLabel) else first.k
-        if actual != level:
-            raise LabelDomainError(f"label {first} is not at level {level}")
-    rank = getattr(args, "rank", None)
-    if rank is not None and isinstance(first, slr.TupleLabel) and first.r != rank:
-        raise LabelDomainError(f"label {first} is not at rank {rank}")
+def _modules(args) -> Tuple[FusionDatum, list]:
+    """Parse the positional modules, which must share one datum matching the context flags."""
+    parsed = [_parse(t) for t in args.modules]
+    instance, first = parsed[0]
+    params = instance.params_of(first)
+    if any(inst is not instance or inst.params_of(m) != params for inst, m in parsed):
+        raise LabelDomainError("labels mix algebras or parameters")
+    if args.algebra not in (None, instance.name):
+        raise LabelDomainError(f"label {first} does not belong to --algebra {args.algebra}")
+    for attr, flag in instance.params:
+        value = getattr(args, flag)
+        if value is not None and value != getattr(first, attr):
+            raise LabelDomainError(f"label {first} is not at {flag} {value}")
+    return instance.build(params), [m for _, m in parsed]
 
 
-def _select_datum_subring(args) -> Tuple[FusionDatum, tuple]:
-    algebra = args.algebra
-    if algebra == "sl2":
-        datum = sl2.datum_sl2(args.level)
-        subring = {
-            "full": datum.labels,
-            "T": sl2.subring_T(args.level),
-            "S1": sl2.subring_S1(args.level),
-        }[args.subring]
-        return datum, tuple(subring)
-    if algebra == "slr":
-        if args.rank is None:
-            raise LabelDomainError("--algebra slr needs --rank")
-        datum = slr.datum_slr(args.rank, args.level)
+def _subring(args) -> Tuple[FusionDatum, tuple]:
+    """The datum named by --algebra/--level/--rank and the labels of its --subring."""
+    instance = INSTANCES[args.algebra]
+    params = tuple(getattr(args, flag) for _, flag in instance.params)
+    for (_, flag), value in zip(instance.params, params):
+        if value is None:
+            raise LabelDomainError(f"--algebra {instance.name} needs --{flag}")
+    subrings = dict(instance.subrings)
+    if args.subring != "full" and args.subring not in subrings:
+        known = ", ".join(("full",) + tuple(subrings))
+        raise LabelDomainError(f"--algebra {instance.name} has no subring {args.subring}; it has {known}")
+    datum = instance.build(params)
+    if args.subring == "full":
         return datum, datum.labels
-    if algebra == "affine":
-        datum = affine.datum_affine_sl2(args.level)
-        return datum, datum.labels
-    datum = affine.datum_cyclic(args.level)
-    return datum, datum.labels
+    return datum, tuple(getattr(instance.module, subrings[args.subring])(*params))
+
+
+def _no_context(args) -> tuple:
+    return ()
 
 
 # -- serialization --------------------------------------------------------------
 
 
+class Output(NamedTuple):
+    """What a verb computed; ``main`` renders it as JSON, a table or CSV."""
+
+    inputs: dict
+    result: Any
+    lines: List[str]
+    rows: List[Sequence[Any]]
+    code: int = 0
+
+
 def to_jsonable(value: Any) -> Any:
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
-    if isinstance(value, bool) or isinstance(value, int) or value is None:
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
+    if value is None or isinstance(value, (int, float, str)):
         return value
     if isinstance(value, dict):
         return {_key_str(k): to_jsonable(v) for k, v in value.items()}
@@ -153,104 +169,69 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
-def _emit(args, command: str, inputs: dict, result: Any, lines: List[str], rows: List[Sequence[Any]], elapsed: float) -> None:
+def _render(args, out: Output, elapsed: float) -> None:
     if args.format == "json":
         payload = {
-            "command": command,
-            "inputs": to_jsonable(inputs),
-            "result": to_jsonable(result),
+            "command": args.verb,
+            "inputs": to_jsonable(out.inputs),
+            "result": to_jsonable(out.result),
             "elapsed_ms": round(elapsed * 1000, 3),
         }
         print(json.dumps(payload))
     elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = _csv.writer(buffer)
-        for row in rows:
+        writer = _csv.writer(sys.stdout)
+        for row in out.rows:
             writer.writerow([_format_value(x) for x in row])
-        sys.stdout.write(buffer.getvalue())
     else:
-        for line in lines:
+        for line in out.lines:
             print(line)
+
+
+def _module_inputs(labels: Sequence[Any]) -> dict:
+    return {"modules": [str(m) for m in labels]}
+
+
+def _subring_inputs(args) -> dict:
+    return {"algebra": args.algebra, "level": args.level, "rank": args.rank, "subring": args.subring}
+
+
+def _scalar(inputs: dict, value: Any) -> Output:
+    return Output(inputs, {"value": value}, [_format_value(value)], [("result",), (value,)])
 
 
 # -- verb implementations ---------------------------------------------------------
 
 
-def _cmd_cw(args) -> int:
-    start = time.perf_counter()
-    labels = [parse_label(t) for t in args.modules]
-    datum = datum_for_labels(labels)
-    _check_context(args, labels)
+def _cmd_cw(args, datum: FusionDatum, labels: list) -> Output:
     values = [(str(m), datum.cw(m)) for m in labels]
-    _emit(
-        args,
-        "cw",
-        {"modules": [str(m) for m in labels]},
+    return Output(
+        _module_inputs(labels),
         {"cw": dict(values)},
         [f"{m} {v}" for m, v in values],
-        [("label", "cw")] + [(m, v) for m, v in values],
-        time.perf_counter() - start,
+        [("label", "cw")] + values,
     )
-    return 0
 
 
-def _cmd_fuse(args) -> int:
-    start = time.perf_counter()
-    a, b = (parse_label(t) for t in args.modules)
-    datum = datum_for_labels([a, b])
-    _check_context(args, [a, b])
-    expansion = expand_fusion(datum, a, b)
-    terms = [(str(m), mult) for m, mult in expansion]
-    _emit(
-        args,
-        "fuse",
-        {"modules": [str(a), str(b)]},
+def _cmd_fuse(args, datum: FusionDatum, labels: list) -> Output:
+    a, b = labels
+    terms = [(str(m), mult) for m, mult in expand_fusion(datum, a, b)]
+    return Output(
+        _module_inputs(labels),
         {"terms": dict(terms)},
         [f"{m} x{mult}" for m, mult in terms],
         [("label", "multiplicity")] + terms,
-        time.perf_counter() - start,
     )
-    return 0
 
 
-def _scalar_command(args, command: str, value: Any, extra_inputs: dict) -> int:
-    _emit(
-        args,
-        command,
-        extra_inputs,
-        {"value": value},
-        [_format_value(value)],
-        [("result",), (value,)],
-        getattr(args, "_elapsed", 0.0),
-    )
-    return 0
+def _cmd_rank(args, datum: FusionDatum, labels: list) -> Output:
+    return _scalar(_module_inputs(labels), rank_n(datum, labels))
 
 
-def _cmd_rank(args) -> int:
-    start = time.perf_counter()
-    labels = [parse_label(t) for t in args.modules]
-    datum = datum_for_labels(labels)
-    _check_context(args, labels)
-    value = rank_n(datum, labels)
-    args._elapsed = time.perf_counter() - start
-    return _scalar_command(args, "rank", value, {"modules": [str(m) for m in labels]})
+def _cmd_degree(args, datum: FusionDatum, labels: list) -> Output:
+    return _scalar(_module_inputs(labels), degree_04(datum, labels))
 
 
-def _cmd_degree(args) -> int:
-    start = time.perf_counter()
-    labels = [parse_label(t) for t in args.modules]
-    datum = datum_for_labels(labels)
-    _check_context(args, labels)
-    value = degree_04(datum, labels)
-    args._elapsed = time.perf_counter() - start
-    return _scalar_command(args, "degree", value, {"modules": [str(m) for m in labels]})
-
-
-def _cmd_class(args) -> int:
-    start = time.perf_counter()
-    labels = [parse_label(t) for t in args.modules]
-    datum = datum_for_labels(labels)
-    _check_context(args, labels)
+def _cmd_class(args, datum: FusionDatum, labels: list) -> Output:
     cls = divisor_class(datum, labels)
     lines = [f"mu {cls.mu}"]
     rows: List[Sequence[Any]] = [("kind", "key", "value"), ("mu", "", cls.mu)]
@@ -266,36 +247,20 @@ def _cmd_class(args) -> int:
         "psi": list(cls.psi_coeffs),
         "boundary": {key: val for key, val in cls.boundary_coeffs.items()},
     }
-    _emit(args, "class", {"modules": [str(m) for m in labels]}, result, lines, rows, time.perf_counter() - start)
-    return 0
+    return Output(_module_inputs(labels), result, lines, rows)
 
 
-def _cmd_intersect(args) -> int:
-    start = time.perf_counter()
-    labels = [parse_label(t) for t in args.modules]
-    datum = datum_for_labels(labels)
-    _check_context(args, labels)
+def _cmd_intersect(args, datum: FusionDatum, labels: list) -> Output:
     curve = FCurve.parse(args.fcurve, len(labels))
     value = fcurve_intersect(datum, labels, curve)
-    args._elapsed = time.perf_counter() - start
-    return _scalar_command(
-        args, "intersect", value, {"modules": [str(m) for m in labels], "fcurve": str(curve)}
-    )
+    return _scalar({**_module_inputs(labels), "fcurve": str(curve)}, value)
 
 
-def _cmd_trivial(args) -> int:
-    start = time.perf_counter()
-    labels = [parse_label(t) for t in args.modules]
-    datum = datum_for_labels(labels)
-    _check_context(args, labels)
-    value = is_trivial(datum, labels)
-    args._elapsed = time.perf_counter() - start
-    return _scalar_command(args, "trivial", value, {"modules": [str(m) for m in labels]})
+def _cmd_trivial(args, datum: FusionDatum, labels: list) -> Output:
+    return _scalar(_module_inputs(labels), is_trivial(datum, labels))
 
 
-def _cmd_scan(args) -> int:
-    start = time.perf_counter()
-    datum, subring = _select_datum_subring(args)
+def _cmd_scan(args, datum: FusionDatum, subring: tuple) -> Output:
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     report = scan_f_positivity(datum, subring, jobs=jobs)
     lines = [
@@ -315,14 +280,10 @@ def _cmd_scan(args) -> int:
             {"modules": [str(m) for m in tup], "degree": deg} for tup, deg in report.counterexamples
         ],
     }
-    inputs = {"algebra": args.algebra, "level": args.level, "rank": args.rank, "subring": args.subring}
-    _emit(args, "scan", inputs, result, lines, rows, time.perf_counter() - start)
-    return 1 if report.counterexamples else 0
+    return Output(_subring_inputs(args), result, lines, rows, 1 if report.counterexamples else 0)
 
 
-def _cmd_certificate(args) -> int:
-    start = time.perf_counter()
-    datum, subring = _select_datum_subring(args)
+def _cmd_certificate(args, datum: FusionDatum, subring: tuple) -> Output:
     cert = positivity_certificate(datum, subring)
     lines = [
         f"abelian {cert.abelian}",
@@ -337,33 +298,20 @@ def _cmd_certificate(args) -> int:
         ("f_max", cert.f_max),
         ("interval", cert.c_interval if cert.c_interval else ""),
     ]
-    inputs = {"algebra": args.algebra, "level": args.level, "rank": args.rank, "subring": args.subring}
-    _emit(args, "certificate", inputs, cert, lines, rows, time.perf_counter() - start)
-    return 0
+    return Output(_subring_inputs(args), cert, lines, rows)
 
 
-def _cmd_lambda(args) -> int:
-    start = time.perf_counter()
-    datum, subring = _select_datum_subring(args)
-    value = lambda_threshold(datum, subring)
-    args._elapsed = time.perf_counter() - start
-    return _scalar_command(
-        args,
-        "lambda",
-        value,
-        {"algebra": args.algebra, "level": args.level, "rank": args.rank, "subring": args.subring},
-    )
+def _cmd_lambda(args, datum: FusionDatum, subring: tuple) -> Output:
+    return _scalar(_subring_inputs(args), lambda_threshold(datum, subring))
 
 
-def _cmd_pairing(args) -> int:
-    start = time.perf_counter()
+def _cmd_pairing(args) -> Output:
     bundle = (
         affine.pairing_T_to_affine(args.level)
         if args.which == "T-affine"
         else affine.pairing_S1_to_cyclic(args.level)
     )
-    source, subring, target, mapping = bundle
-    report = affine.verify_pairing(source, subring, target, mapping)
+    report = affine.verify_pairing(*bundle)
     lines = [
         f"fusion injection {report.is_fusion_injection}",
         f"eta {report.eta if report.eta is not None else 'undefined'}",
@@ -377,34 +325,32 @@ def _cmd_pairing(args) -> int:
         ("eta", report.eta if report.eta is not None else ""),
         ("witness", report.failure_witness[1] if report.failure_witness else ""),
     ]
-    inputs = {"pairing": args.which, "level": args.level}
-    _emit(args, "pairing", inputs, report, lines, rows, time.perf_counter() - start)
     ok = report.is_fusion_injection and report.failure_witness is None
-    return 0 if ok else 1
+    return Output({"pairing": args.which, "level": args.level}, report, lines, rows, 0 if ok else 1)
 
 
-def _cmd_verify(args) -> int:
-    start = time.perf_counter()
+def _cmd_verify(args) -> Output:
     checks = run_suite(args.suite, max_level=args.max_level, jobs=args.jobs)
     lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in checks]
     rows: List[Sequence[Any]] = [("check", "passed", "detail")]
     rows.extend((c.name, c.passed, c.detail) for c in checks)
     result = {"suite": args.suite, "checks": [to_jsonable(c) for c in checks]}
     inputs = {"suite": args.suite, "max_level": args.max_level}
-    _emit(args, "verify", inputs, result, lines, rows, time.perf_counter() - start)
-    return 0 if all(c.passed for c in checks) else 1
+    return Output(inputs, result, lines, rows, 0 if all(c.passed for c in checks) else 1)
 
 
 # -- parser ------------------------------------------------------------------------
 
 
-def _add_common(sub, modules: str = "") -> None:
-    sub.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    sub.add_argument("--algebra", choices=("sl2", "slr", "affine", "cyclic"))
-    sub.add_argument("--level", type=int)
-    sub.add_argument("--rank", type=int)
-    if modules:
-        sub.add_argument("modules", nargs=modules, metavar="MODULE")
+MODULE_VERBS = (
+    ("cw", _cmd_cw, "conformal weights of modules"),
+    ("fuse", _cmd_fuse, "fusion product of two modules"),
+    ("rank", _cmd_rank, "n-point bundle rank"),
+    ("degree", _cmd_degree, "degree of the 4-point divisor"),
+    ("class", _cmd_class, "divisor class in the psi/boundary basis"),
+    ("intersect", _cmd_intersect, "intersection with an F-curve"),
+    ("trivial", _cmd_trivial, "does the divisor vanish on every F-curve"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,64 +359,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact fusion-ring positivity computations on moduli of pointed rational curves.",
     )
     subs = parser.add_subparsers(dest="verb", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
-    p = subs.add_parser("cw", help="conformal weights of modules")
-    _add_common(p, "+")
-    p.set_defaults(func=_cmd_cw)
+    for name, fn, help_text in MODULE_VERBS:
+        p = subs.add_parser(name, parents=[output], help=help_text)
+        p.add_argument("--algebra", choices=tuple(INSTANCES))
+        p.add_argument("--level", type=int)
+        p.add_argument("--rank", type=int)
+        p.add_argument("modules", nargs="+", metavar="MODULE")
+        if name == "intersect":
+            p.add_argument("--fcurve", required=True, help='partition, e.g. "{1,2}|{3}|{4}|{5}"')
+        p.set_defaults(func=fn, context=_modules)
 
-    p = subs.add_parser("fuse", help="fusion product of two modules")
-    _add_common(p, "+")
-    p.set_defaults(func=_cmd_fuse)
-
-    p = subs.add_parser("rank", help="n-point bundle rank")
-    _add_common(p, "+")
-    p.set_defaults(func=_cmd_rank)
-
-    p = subs.add_parser("degree", help="degree of the 4-point divisor")
-    _add_common(p, "+")
-    p.set_defaults(func=_cmd_degree)
-
-    p = subs.add_parser("class", help="divisor class in the psi/boundary basis")
-    _add_common(p, "+")
-    p.set_defaults(func=_cmd_class)
-
-    p = subs.add_parser("intersect", help="intersection with an F-curve")
-    _add_common(p, "+")
-    p.add_argument("--fcurve", required=True, help='partition, e.g. "{1,2}|{3}|{4}|{5}"')
-    p.set_defaults(func=_cmd_intersect)
-
-    p = subs.add_parser("trivial", help="does the divisor vanish on every F-curve")
-    _add_common(p, "+")
-    p.set_defaults(func=_cmd_trivial)
-
-    for name, fn, needs_subring in (
-        ("scan", _cmd_scan, True),
-        ("certificate", _cmd_certificate, True),
-        ("lambda", _cmd_lambda, True),
-    ):
-        p = subs.add_parser(name)
-        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        p.add_argument("--algebra", choices=("sl2", "slr", "affine", "cyclic"), required=True)
+    for name, fn in (("scan", _cmd_scan), ("certificate", _cmd_certificate), ("lambda", _cmd_lambda)):
+        p = subs.add_parser(name, parents=[output])
+        p.add_argument("--algebra", choices=tuple(INSTANCES), required=True)
         p.add_argument("--level", type=int, required=True)
         p.add_argument("--rank", type=int)
-        if needs_subring:
-            p.add_argument("--subring", choices=("full", "T", "S1"), default="full")
+        p.add_argument("--subring", choices=SUBRINGS, default="full")
         if name == "scan":
             p.add_argument("--jobs", type=int, default=None)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, context=_subring)
 
-    p = subs.add_parser("pairing", help="verify a proportional subring pairing")
+    p = subs.add_parser("pairing", parents=[output], help="verify a proportional subring pairing")
     p.add_argument("which", choices=("T-affine", "S1-cyclic"))
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=_cmd_pairing)
+    p.set_defaults(func=_cmd_pairing, context=_no_context)
 
-    p = subs.add_parser("verify", help="run a named verification suite")
+    p = subs.add_parser("verify", parents=[output], help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--max-level", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, context=_no_context)
 
     return parser
 
@@ -478,11 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        out = args.func(args, *args.context(args))
     except FusionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _render(args, out, time.perf_counter() - start)
+    return out.code
 
 
 if __name__ == "__main__":

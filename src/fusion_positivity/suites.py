@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import affine_instances as affine
 from . import parafermion_sl2 as sl2
@@ -43,6 +43,27 @@ def _check(name: str, passed: bool, detail: str = "") -> Check:
     return Check(name=name, passed=bool(passed), detail=detail)
 
 
+def first_failure(cases: Iterable[Optional[str]]) -> Tuple[Optional[str], int]:
+    """Read a lazy stream of cases, ``None`` for a pass and a witness string for a failure.
+
+    Stops at the first failure, so later cases are never computed, and returns
+    its witness (``None`` when every case passed) with the number of cases
+    read, the failing one included.
+    """
+    seen = 0
+    for witness in cases:
+        seen += 1
+        if witness is not None:
+            return witness, seen
+    return None, seen
+
+
+def _case_check(name: str, cases: Iterable[Optional[str]], detail: str) -> Check:
+    """The check ``name``: ``detail`` when no case fails, else the first failure's witness."""
+    witness, _ = first_failure(cases)
+    return _check(name, witness is None, witness or detail)
+
+
 # -- criterion 1: the three negative divisors of the level-3 sl2 ring ----------
 
 
@@ -72,12 +93,8 @@ def criterion_01() -> List[Check]:
 
 
 def criterion_02(max_level: int = 8) -> List[Check]:
-    checks = []
-    for k in range(1, max_level + 1):
+    def cases(k):
         datum = sl2.datum_sl2(k)
-        tested = 0
-        ok = True
-        witness = ""
         for ts in combinations_with_replacement(range(k // 2 + 1), 4):
             t1, t2, t3, t4 = ts
             if sum(ts) < k or t2 + t3 > t1 + t4:
@@ -86,12 +103,15 @@ def criterion_02(max_level: int = 8) -> List[Check]:
             expected = (1 + k - 2 * t4) * (sum(ts) - k)
             modules = [sl2.canonicalize(k, 2 * t, t) for t in ts]
             engine = degree_04(datum, modules)
-            tested += 1
-            if not (closed == expected == engine and mu == rank_n(datum, modules)):
-                ok = False
-                witness = f"t={ts}: closed {closed}, engine {engine}"
-                break
-        checks.append(_check(f"closed-T.k{k}", ok, witness or f"{tested} admissible tuples"))
+            if closed == expected == engine and mu == rank_n(datum, modules):
+                yield None
+            else:
+                yield f"t={ts}: closed {closed}, engine {engine}"
+
+    checks = []
+    for k in range(1, max_level + 1):
+        witness, tested = first_failure(cases(k))
+        checks.append(_check(f"closed-T.k{k}", witness is None, witness or f"{tested} admissible tuples"))
     return checks
 
 
@@ -186,51 +206,47 @@ def criterion_05() -> List[Check]:
 
 
 def criterion_06() -> List[Check]:
-    checks = []
-    ok = True
-    witness = ""
-    for k in range(1, 13):
-        label, _ = slr.max_cw_module(2, k)
-        expected = ((2 * k) // 3, k // 3)
-        if label.a != expected:
-            ok, witness = False, f"k={k}: got {label.a}, expected {expected}"
-            break
-    checks.append(_check("max-cw.r2", ok, witness or "argmax (2k/3, k/3) for k <= 12"))
-    ok = True
-    witness = ""
-    for r in (3, 4):
-        for k in range(1, 7):
-            label, _ = slr.max_cw_module(r, k)
-            if label.a != (k - 1,) * r:
-                ok, witness = False, f"r={r},k={k}: got {label.a}"
-                break
-    checks.append(_check("max-cw.r34", ok, witness or "argmax (k-1,...,k-1) for r=3,4, k <= 6"))
-    ok = True
-    witness = ""
-    for k in range(2, 13):
-        datum = slr.datum_slr(2, k)
-        low = Q(k - 1, k)
-        high = Q(k, 3)
-        for label in datum.labels:
-            if label == datum.unit:
-                continue
-            w = datum.cw(label)
-            if not (low <= w <= high):
-                ok, witness = False, f"k={k}, {label}: cw {w} outside [{low}, {high}]"
-                break
-    checks.append(_check("max-cw.r2-bounds", ok, witness or "(k-1)/k <= cw <= k/3 on non-units"))
-    ok = True
-    witness = ""
-    for r in (3, 4):
-        for k in range(2, 7):
-            datum = slr.datum_slr(r, k)
+    def r2_argmax():
+        for k in range(1, 13):
+            label, _ = slr.max_cw_module(2, k)
+            expected = ((2 * k) // 3, k // 3)
+            if label.a != expected:
+                yield f"k={k}: got {label.a}, expected {expected}"
+
+    def r34_argmax():
+        for r in (3, 4):
+            for k in range(1, 7):
+                label, _ = slr.max_cw_module(r, k)
+                if label.a != (k - 1,) * r:
+                    yield f"r={r},k={k}: got {label.a}"
+
+    def r2_bounds():
+        for k in range(2, 13):
+            datum = slr.datum_slr(2, k)
             low = Q(k - 1, k)
+            high = Q(k, 3)
             for label in datum.labels:
-                if label != datum.unit and datum.cw(label) < low:
-                    ok, witness = False, f"r={r},k={k}, {label}: cw {datum.cw(label)} < {low}"
-                    break
-    checks.append(_check("max-cw.lower-bound-r34", ok, witness or "cw >= (k-1)/k on non-units"))
-    return checks
+                if label == datum.unit:
+                    continue
+                w = datum.cw(label)
+                if not (low <= w <= high):
+                    yield f"k={k}, {label}: cw {w} outside [{low}, {high}]"
+
+    def r34_lower_bound():
+        for r in (3, 4):
+            for k in range(2, 7):
+                datum = slr.datum_slr(r, k)
+                low = Q(k - 1, k)
+                for label in datum.labels:
+                    if label != datum.unit and datum.cw(label) < low:
+                        yield f"r={r},k={k}, {label}: cw {datum.cw(label)} < {low}"
+
+    return [
+        _case_check("max-cw.r2", r2_argmax(), "argmax (2k/3, k/3) for k <= 12"),
+        _case_check("max-cw.r34", r34_argmax(), "argmax (k-1,...,k-1) for r=3,4, k <= 6"),
+        _case_check("max-cw.r2-bounds", r2_bounds(), "(k-1)/k <= cw <= k/3 on non-units"),
+        _case_check("max-cw.lower-bound-r34", r34_lower_bound(), "cw >= (k-1)/k on non-units"),
+    ]
 
 
 # -- criterion 7: non-triviality oracles -----------------------------------------
@@ -298,59 +314,53 @@ def criterion_07() -> List[Check]:
 
 
 def criterion_08() -> List[Check]:
+    def rank4():
+        for k in range(1, 7):
+            datum = sl2.datum_sl2(k)
+            for tup in combinations_with_replacement(datum.labels, 4):
+                if sl2.rank4_closed(tup) != rank_n(datum, tup):
+                    yield f"k={k}: {tup}"
+                    continue
+                # the two congruence branches never both hold
+                s = sum(lab.i for lab in tup)
+                sp = sum(lab.j for lab in tup)
+                b1 = s % 2 == 0 and (s // 2 - sp) % k == 0
+                b2 = (s - k) % 2 == 0 and ((s - k) // 2 - sp) % k == 0
+                yield f"k={k}: branches overlap at {tup}" if b1 and b2 else None
+
+    def degree04():
+        for k in range(1, 6):
+            datum = sl2.datum_sl2(k)
+            for base, d1, d2, d3 in combinations_with_replacement(datum.labels, 4):
+                closed = sl2.degree04_closed(base, (d1, d2, d3))
+                actual = [base, sl2.dual(d1), sl2.dual(d2), sl2.dual(d3)]
+                if closed != degree_04(datum, actual):
+                    yield f"k={k}: base {base}, dualized ({d1},{d2},{d3})"
+                else:
+                    yield None
+
+    def symmetric_rank():
+        for k in range(1, 9):
+            datum = sl2.datum_sl2(k)
+            for a in range(1, k // 2 + 1):
+                mod_a = sl2.canonicalize(k, 2 * a, a)
+                for t in range(1, 7):
+                    for x in range(k // 2 + 1):
+                        mod_x = sl2.canonicalize(k, 2 * x, x)
+                        engine = rank_n(datum, [mod_a] * t + [mod_x]) > 0
+                        if sl2.symmetric_rank_support(k, a, t, x) != engine:
+                            yield f"k={k}, a={a}, t={t}, x={x}"
+                        else:
+                            yield None
+
     checks = []
-    ok = True
-    witness = ""
-    tested = 0
-    for k in range(1, 7):
-        datum = sl2.datum_sl2(k)
-        for tup in combinations_with_replacement(datum.labels, 4):
-            tested += 1
-            if sl2.rank4_closed(tup) != rank_n(datum, tup):
-                ok, witness = False, f"k={k}: {tup}"
-                break
-            # the two congruence branches never both hold
-            s = sum(lab.i for lab in tup)
-            sp = sum(lab.j for lab in tup)
-            b1 = s % 2 == 0 and (s // 2 - sp) % k == 0
-            b2 = (s - k) % 2 == 0 and ((s - k) // 2 - sp) % k == 0
-            if b1 and b2:
-                ok, witness = False, f"k={k}: branches overlap at {tup}"
-                break
-        if not ok:
-            break
-    checks.append(_check("oracle.rank4", ok, witness or f"{tested} multisets, k <= 6"))
-    ok = True
-    witness = ""
-    tested = 0
-    for k in range(1, 6):
-        datum = sl2.datum_sl2(k)
-        for base, d1, d2, d3 in combinations_with_replacement(datum.labels, 4):
-            tested += 1
-            closed = sl2.degree04_closed(base, (d1, d2, d3))
-            actual = [base, sl2.dual(d1), sl2.dual(d2), sl2.dual(d3)]
-            if closed != degree_04(datum, actual):
-                ok, witness = False, f"k={k}: base {base}, dualized ({d1},{d2},{d3})"
-                break
-        if not ok:
-            break
-    checks.append(_check("oracle.degree04", ok, witness or f"{tested} sorted tuples, k <= 5"))
-    ok = True
-    witness = ""
-    tested = 0
-    for k in range(1, 9):
-        datum = sl2.datum_sl2(k)
-        for a in range(1, k // 2 + 1):
-            mod_a = sl2.canonicalize(k, 2 * a, a)
-            for t in range(1, 7):
-                for x in range(k // 2 + 1):
-                    mod_x = sl2.canonicalize(k, 2 * x, x)
-                    engine = rank_n(datum, [mod_a] * t + [mod_x]) > 0
-                    tested += 1
-                    if sl2.symmetric_rank_support(k, a, t, x) != engine:
-                        ok, witness = False, f"k={k}, a={a}, t={t}, x={x}"
-                        break
-    checks.append(_check("oracle.symmetric-rank", ok, witness or f"{tested} cases, k <= 8, t <= 6"))
+    for name, cases, detail in (
+        ("oracle.rank4", rank4(), "multisets, k <= 6"),
+        ("oracle.degree04", degree04(), "sorted tuples, k <= 5"),
+        ("oracle.symmetric-rank", symmetric_rank(), "cases, k <= 8, t <= 6"),
+    ):
+        witness, tested = first_failure(cases)
+        checks.append(_check(name, witness is None, witness or f"{tested} {detail}"))
     return checks
 
 
@@ -358,224 +368,178 @@ def criterion_08() -> List[Check]:
 
 
 def criterion_09(max_level: int = 20) -> List[Check]:
-    checks = []
-    ok = True
-    witness = ""
-    for k in range(1, max_level + 1):
-        report = affine.verify_pairing(*_pairing_args(affine.pairing_T_to_affine(k)))
-        want_eta = None if k == 1 else Q(1)
-        if not (report.is_fusion_injection and report.eta == want_eta and report.failure_witness is None):
-            ok, witness = False, f"T-pairing at k={k}: {report}"
-            break
-    checks.append(
-        _check("pairing.T-affine", ok, witness or f"eta 1 for k <= {max_level} (rescaled quote 1/(2(k+2)))")
-    )
-    ok = True
-    witness = ""
-    for k in range(1, max_level + 1):
-        report = affine.verify_pairing(*_pairing_args(affine.pairing_S1_to_cyclic(k)))
-        want_eta = None if k == 1 else Q(1, 2)
-        if not (report.is_fusion_injection and report.eta == want_eta and report.failure_witness is None):
-            ok, witness = False, f"S1-pairing at k={k}: {report}"
-            break
-    checks.append(
-        _check("pairing.S1-cyclic", ok, witness or f"eta 1/2 for k <= {max_level} (rescaled quote 1/(k+1))")
-    )
-    ok = True
-    witness = ""
-    for k in range(1, 7):
-        src, sub, tgt, mapping = affine.pairing_T_to_affine(k)
-        for tup in combinations_with_replacement(sub, 4):
-            if degree_04(src, tup) != degree_04(tgt, [mapping[m] for m in tup]):
-                ok, witness = False, f"k={k}: {tup}"
-                break
-    checks.append(_check("transport.T-affine", ok, witness or "degrees equal, k <= 6"))
-    ok = True
-    witness = ""
-    for k in range(1, 9):
-        src, sub, tgt, mapping = affine.pairing_S1_to_cyclic(k)
-        for tup in combinations_with_replacement(sub, 4):
-            if degree_04(src, tup) != 2 * degree_04(tgt, [mapping[m] for m in tup]):
-                ok, witness = False, f"k={k}: {tup}"
-                break
-    checks.append(_check("transport.S1-cyclic", ok, witness or "source = 2 x cyclic, k <= 8"))
-    one = affine.datum_affine_sl2(1)
-    lam1 = affine.AffineSl2Label(1, 1)
-    checks.append(
+    def pairings(pairing, eta, tag):
+        for k in range(1, max_level + 1):
+            report = affine.verify_pairing(*pairing(k))
+            want_eta = None if k == 1 else eta
+            if not (report.is_fusion_injection and report.eta == want_eta and report.failure_witness is None):
+                yield f"{tag}-pairing at k={k}: {report}"
+
+    def transport(pairing, max_k, factor):
+        for k in range(1, max_k + 1):
+            src, sub, tgt, mapping = pairing(k)
+            for tup in combinations_with_replacement(sub, 4):
+                if degree_04(src, tup) != factor * degree_04(tgt, [mapping[m] for m in tup]):
+                    yield f"k={k}: {tup}"
+
+    return [
+        _case_check(
+            "pairing.T-affine",
+            pairings(affine.pairing_T_to_affine, Q(1), "T"),
+            f"eta 1 for k <= {max_level} (rescaled quote 1/(2(k+2)))",
+        ),
+        _case_check(
+            "pairing.S1-cyclic",
+            pairings(affine.pairing_S1_to_cyclic, Q(1, 2), "S1"),
+            f"eta 1/2 for k <= {max_level} (rescaled quote 1/(k+1))",
+        ),
+        _case_check("transport.T-affine", transport(affine.pairing_T_to_affine, 6, 1), "degrees equal, k <= 6"),
+        _case_check(
+            "transport.S1-cyclic", transport(affine.pairing_S1_to_cyclic, 8, 2), "source = 2 x cyclic, k <= 8"
+        ),
         _check(
             "transport.affine-level1",
-            degree_04(one, [lam1] * 4) == 1,
+            degree_04(affine.datum_affine_sl2(1), [affine.AffineSl2Label(1, 1)] * 4) == 1,
             "classical level-one quadruple has degree 1",
-        )
-    )
-    return checks
-
-
-def _pairing_args(bundle):
-    source, sub, target, mapping = bundle
-    return source, sub, target, mapping
+        ),
+    ]
 
 
 # -- criterion 10: symmetric intersection tables -----------------------------------
 
 
 def criterion_10() -> List[Check]:
-    checks = []
-
     # level 2: values 2 (i odd) / 0 (i even), the parity of the worked example;
     # the printed statement has the parity transposed and is resolved this way.
-    ok = True
-    witness = ""
-    for r in (2, 3, 4):
-        datum = slr.datum_slr(r, 2)
-        for label in datum.labels:
-            if label == datum.unit:
-                continue
-            q = sum(label.a)
-            for n in (6, 8):
-                for i in range(1, n - 2):
-                    value = slr.symmetric_intersection(r, 2, label, n, i)
-                    expected = Q((q - 1) * (q - 2) + 2) if i % 2 == 1 else Q(0)
-                    if value != expected:
-                        ok, witness = False, f"r={r}, a={label.a}, n={n}, i={i}: {value} != {expected}"
-                        break
-            for i in range(1, 5):  # odd n: the symmetric divisor is trivial
-                if slr.symmetric_intersection(r, 2, label, 7, i) != 0:
-                    ok, witness = False, f"r={r}, a={label.a}: odd n not trivial"
-                    break
-    checks.append(_check("symmetric.k2", ok, witness or "(q-1)(q-2)+2 odd / 0 even, r <= 4"))
+    def level2():
+        for r in (2, 3, 4):
+            datum = slr.datum_slr(r, 2)
+            for label in datum.labels:
+                if label == datum.unit:
+                    continue
+                q = sum(label.a)
+                for n in (6, 8):
+                    for i in range(1, n - 2):
+                        value = slr.symmetric_intersection(r, 2, label, n, i)
+                        expected = Q((q - 1) * (q - 2) + 2) if i % 2 == 1 else Q(0)
+                        if value != expected:
+                            yield f"r={r}, a={label.a}, n={n}, i={i}: {value} != {expected}"
+                for i in range(1, 5):  # odd n: the symmetric divisor is trivial
+                    if slr.symmetric_intersection(r, 2, label, 7, i) != 0:
+                        yield f"r={r}, a={label.a}: odd n not trivial"
 
     # level 3: 3*cw(M) at epsilon = 2 wherever the weight table is dual-symmetric
     # (all of r = 2) and 0 at epsilon in {0, 1}; on dual-asymmetric tuples
     # (r >= 3) the engine values are the divisor-formula identities
     # cw(M) + 2*cw(2M) and cw(M) - cw(2M), pinned here.
-    ok = True
-    witness = ""
+    def level3():
+        for r in (2, 3, 4):
+            datum = slr.datum_slr(r, 3)
+            for label in datum.labels:
+                if label == datum.unit:
+                    continue
+                double = slr.scale_label(label, 2)
+                value = slr.symmetric_intersection(r, 3, label, 6, 2)
+                if value != datum.cw(label) + 2 * datum.cw(double):
+                    yield f"r={r}, a={label.a}: eps=2 identity"
+                low = {slr.symmetric_intersection(r, 3, label, 6, i) for i in (1, 3)}
+                if low != {datum.cw(label) - datum.cw(double)}:
+                    yield f"r={r}, a={label.a}: eps in {{0,1}} identity"
+                if any(slr.symmetric_intersection(r, 3, label, n, i) != 0 for n in (7, 8) for i in (1, 2, 3)):
+                    yield f"r={r}, a={label.a}: nontrivial away from 3|n"
+                if datum.cw(label) == datum.cw(slr.dual_slr(label)):
+                    if value != 3 * datum.cw(label) or low != {Q(0)}:
+                        yield f"r={r}, a={label.a}: table values"
+                elif value == 3 * datum.cw(label):
+                    yield f"r={r}, a={label.a}: unexpectedly 3cw"
+
     asym = 0
     for r in (2, 3, 4):
         datum = slr.datum_slr(r, 3)
-        for label in datum.labels:
-            if label == datum.unit:
-                continue
-            double = slr.scale_label(label, 2)
-            value = slr.symmetric_intersection(r, 3, label, 6, 2)
-            if value != datum.cw(label) + 2 * datum.cw(double):
-                ok, witness = False, f"r={r}, a={label.a}: eps=2 identity"
-                break
-            low = {slr.symmetric_intersection(r, 3, label, 6, i) for i in (1, 3)}
-            if low != {datum.cw(label) - datum.cw(double)}:
-                ok, witness = False, f"r={r}, a={label.a}: eps in {{0,1}} identity"
-                break
-            if any(slr.symmetric_intersection(r, 3, label, n, i) != 0 for n in (7, 8) for i in (1, 2, 3)):
-                ok, witness = False, f"r={r}, a={label.a}: nontrivial away from 3|n"
-                break
-            if datum.cw(label) == datum.cw(slr.dual_slr(label)):
-                if value != 3 * datum.cw(label) or low != {Q(0)}:
-                    ok, witness = False, f"r={r}, a={label.a}: table values"
-                    break
-            else:
-                asym += 1
-                if value == 3 * datum.cw(label):
-                    ok, witness = False, f"r={r}, a={label.a}: unexpectedly 3cw"
-                    break
-    checks.append(
-        _check("symmetric.k3", ok, witness or f"3cw(M)/0/0 on dual-symmetric tuples; {asym} pinned exceptions")
-    )
+        asym += sum(datum.cw(label) != datum.cw(slr.dual_slr(label)) for label in datum.labels)
 
     # level 5, rank 2: the five weight classes and their intersection table
-    ok = True
-    witness = ""
-    datum5 = slr.datum_slr(2, 5)
-    by_eps1 = {Q(0): Q(0), Q(4, 5): Q(0), Q(6, 5): Q(2), Q(7, 5): Q(1), Q(8, 5): Q(2)}
-    by_eps4 = {Q(0): Q(0), Q(4, 5): Q(2), Q(6, 5): Q(4), Q(7, 5): Q(4), Q(8, 5): Q(5)}
-    seen = set()
-    for label in datum5.labels:
-        w = datum5.cw(label)
-        seen.add(w)
-        if label == datum5.unit:
-            continue
-        n = 10
-        table = {
-            1: by_eps1[w],
-            2: by_eps1[w],
-            3: Q(0),
-            4: by_eps4[w],
-            6: by_eps1[w],
-            7: by_eps1[w],
-        }
-        for i, expected in table.items():
-            value = slr.symmetric_intersection(2, 5, label, n, i)
-            if value != expected:
-                ok, witness = False, f"a={label.a} (cw {w}), i={i}: {value} != {expected}"
-                break
-        for n_bad in (7, 8, 9, 11):
-            for i in range(1, n_bad - 2):
-                if slr.symmetric_intersection(2, 5, label, n_bad, i) != 0:
-                    ok, witness = False, f"a={label.a}: nontrivial at n={n_bad}"
-                    break
-        if not ok:
-            break
-    if seen != {Q(0), Q(4, 5), Q(6, 5), Q(7, 5), Q(8, 5)}:
-        ok, witness = False, f"weight classes {sorted(seen)}"
-    checks.append(_check("symmetric.k5", ok, witness or "per-class values {0,1,2,4,5} reproduced"))
-    return checks
+    def level5():
+        datum5 = slr.datum_slr(2, 5)
+        by_eps1 = {Q(0): Q(0), Q(4, 5): Q(0), Q(6, 5): Q(2), Q(7, 5): Q(1), Q(8, 5): Q(2)}
+        by_eps4 = {Q(0): Q(0), Q(4, 5): Q(2), Q(6, 5): Q(4), Q(7, 5): Q(4), Q(8, 5): Q(5)}
+        seen = set()
+        for label in datum5.labels:
+            w = datum5.cw(label)
+            seen.add(w)
+            if label == datum5.unit:
+                continue
+            n = 10
+            table = {
+                1: by_eps1[w],
+                2: by_eps1[w],
+                3: Q(0),
+                4: by_eps4[w],
+                6: by_eps1[w],
+                7: by_eps1[w],
+            }
+            for i, expected in table.items():
+                value = slr.symmetric_intersection(2, 5, label, n, i)
+                if value != expected:
+                    yield f"a={label.a} (cw {w}), i={i}: {value} != {expected}"
+            for n_bad in (7, 8, 9, 11):
+                for i in range(1, n_bad - 2):
+                    if slr.symmetric_intersection(2, 5, label, n_bad, i) != 0:
+                        yield f"a={label.a}: nontrivial at n={n_bad}"
+        if seen != {Q(0), Q(4, 5), Q(6, 5), Q(7, 5), Q(8, 5)}:
+            yield f"weight classes {sorted(seen)}"
+
+    return [
+        _case_check("symmetric.k2", level2(), "(q-1)(q-2)+2 odd / 0 even, r <= 4"),
+        _case_check("symmetric.k3", level3(), f"3cw(M)/0/0 on dual-symmetric tuples; {asym} pinned exceptions"),
+        _case_check("symmetric.k5", level5(), "per-class values {0,1,2,4,5} reproduced"),
+    ]
 
 
 # -- criterion 11: the scaled closed forms for the two sl2 families ----------------
 
 
 def criterion_11(max_level: int = 6) -> List[Check]:
-    checks = []
-    ok = True
-    witness = ""
-    for k in range(1, max_level + 1):
-        datum = sl2.datum_sl2(k)
-        for bs in combinations_with_replacement(range(k // 2 + 1), 4):
-            modules = [sl2.canonicalize(k, 2 * b, b) for b in bs]
-            engine = degree_04(datum, modules)
-            if sum(bs) >= k:
-                mu = rank_n(datum, modules)
-                expected = mu * (sum(bs) - k)
-            else:
-                expected = Q(0)
-            if engine != expected:
-                ok, witness = False, f"k={k}, b={bs}: {engine} != {expected}"
-                break
-        if not ok:
-            break
-    checks.append(_check("scaling.T", ok, witness or "engine = mu(-k + sum b) above level, else 0"))
-    ok = True
-    witness = ""
-    for k in range(1, max_level + 1):
-        datum = sl2.datum_sl2(k)
-        for As in combinations_with_replacement(range(k), 4):
-            modules = [sl2.canonicalize(k, k, a) for a in As]
-            engine = degree_04(datum, modules)
-            a, _, _, d = As
-            if sum(As) == 2 * k and a >= 1:
-                # branch condition b+c <= a+d means a+d >= k, i.e. k-d <= a
-                expected = Q(2 * min(a, k - d))
-            else:
-                expected = Q(0)
-            if engine != expected:
-                ok, witness = False, f"k={k}, a={As}: {engine} != {expected}"
-                break
-        if not ok:
-            break
-    checks.append(
-        _check("scaling.S1", ok, witness or "engine = 2 min(a, k-d) at sum 2k, else 0 (branches as corrected)")
-    )
-    return checks
+    def family_T():
+        for k in range(1, max_level + 1):
+            datum = sl2.datum_sl2(k)
+            for bs in combinations_with_replacement(range(k // 2 + 1), 4):
+                modules = [sl2.canonicalize(k, 2 * b, b) for b in bs]
+                engine = degree_04(datum, modules)
+                if sum(bs) >= k:
+                    mu = rank_n(datum, modules)
+                    expected = mu * (sum(bs) - k)
+                else:
+                    expected = Q(0)
+                if engine != expected:
+                    yield f"k={k}, b={bs}: {engine} != {expected}"
+
+    def family_S1():
+        for k in range(1, max_level + 1):
+            datum = sl2.datum_sl2(k)
+            for As in combinations_with_replacement(range(k), 4):
+                modules = [sl2.canonicalize(k, k, a) for a in As]
+                engine = degree_04(datum, modules)
+                a, _, _, d = As
+                if sum(As) == 2 * k and a >= 1:
+                    # branch condition b+c <= a+d means a+d >= k, i.e. k-d <= a
+                    expected = Q(2 * min(a, k - d))
+                else:
+                    expected = Q(0)
+                if engine != expected:
+                    yield f"k={k}, a={As}: {engine} != {expected}"
+
+    return [
+        _case_check("scaling.T", family_T(), "engine = mu(-k + sum b) above level, else 0"),
+        _case_check("scaling.S1", family_S1(), "engine = 2 min(a, k-d) at sum 2k, else 0 (branches as corrected)"),
+    ]
 
 
 # -- criterion 12: the lambda-twist threshold ---------------------------------------
 
 
 def criterion_12(max_level: int = 8) -> List[Check]:
-    checks = []
-    for name, family in (("T", sl2.subring_T), ("S1", sl2.subring_S1)):
-        ok = True
-        witness = ""
+    def tightness(family):
         for k in range(1, max_level + 1):
             datum = sl2.datum_sl2(k)
             sub = family(k)
@@ -587,128 +551,108 @@ def criterion_12(max_level: int = 8) -> List[Check]:
                     if datum.rank3(w, wt, datum.dual(wt)) >= 1:
                         slack.append(t + half_c + datum.cw(w) - 12 * datum.cw(wt))
             if t < 0 or any(s < 0 for s in slack) or (min(slack) != 0):
-                ok, witness = False, f"k={k}: t={t}, min slack {min(slack)}"
-                break
-        checks.append(_check(f"lambda.{name}", ok, witness or f"threshold tight for k <= {max_level}"))
-    return checks
+                yield f"k={k}: t={t}, min slack {min(slack)}"
+
+    return [
+        _case_check(f"lambda.{name}", tightness(family), f"threshold tight for k <= {max_level}")
+        for name, family in (("T", sl2.subring_T), ("S1", sl2.subring_S1))
+    ]
 
 
 # -- criterion 13: structural invariants across the instances ------------------------
 
 
 def criterion_13() -> List[Check]:
-    checks = []
+    def datum_axioms():
+        try:
+            for k in range(1, 7):
+                sl2.datum_sl2(k).validate()
+            for k in range(1, 9):
+                slr.datum_slr(2, k).validate()
+            for k in (9, 10):
+                slr.datum_slr(2, k).validate(check_rank3_symmetry=False)
+            for r, kmax in ((3, 3), (4, 2)):
+                for k in range(1, kmax + 1):
+                    slr.datum_slr(r, k).validate(check_cw_duality=(k <= 2))
+            for k in range(1, 9):
+                affine.datum_affine_sl2(k).validate()
+            for m in range(1, 13):
+                affine.datum_cyclic(m).validate()
+        except Exception as exc:  # DomainError carries the violation
+            yield str(exc)
 
-    ok = True
-    witness = ""
-    try:
-        for k in range(1, 7):
-            sl2.datum_sl2(k).validate()
-        for k in range(1, 9):
-            slr.datum_slr(2, k).validate()
-        for k in (9, 10):
-            slr.datum_slr(2, k).validate(check_rank3_symmetry=False)
-        for r, kmax in ((3, 3), (4, 2)):
-            for k in range(1, kmax + 1):
-                slr.datum_slr(r, k).validate(check_cw_duality=(k <= 2))
-        for k in range(1, 9):
-            affine.datum_affine_sl2(k).validate()
-        for m in range(1, 13):
-            affine.datum_cyclic(m).validate()
-    except Exception as exc:  # DomainError carries the violation
-        ok, witness = False, str(exc)
-    checks.append(_check("axioms.datums", ok, witness or "unit/dual/fusion/weight axioms hold"))
+    def permutation_duality():
+        for k in range(1, 5):
+            datum = sl2.datum_sl2(k)
+            for tup in combinations_with_replacement(datum.labels, 4):
+                base_rank = rank_n(datum, tup)
+                base_deg = degree_04(datum, tup)
+                duals = [sl2.dual(m) for m in tup]
+                if rank_n(datum, duals) != base_rank or degree_04(datum, duals) != base_deg:
+                    yield f"k={k}: duality fails at {tup}"
+                for perm in permutations(tup):
+                    if rank_n(datum, perm) != base_rank or degree_04(datum, perm) != base_deg:
+                        yield f"k={k}: permutation fails at {perm}"
+
+    def vacuum_propagation():
+        for k in range(1, 5):
+            datum = sl2.datum_sl2(k)
+            unit = datum.unit
+            for tup in combinations_with_replacement(datum.labels, 3):
+                if rank_n(datum, tup + (unit,)) != rank_n(datum, tup):
+                    yield f"k={k}: vacuum changes rank at {tup}"
+                if degree_04(datum, tup + (unit,)) != 0:
+                    yield f"k={k}: vacuum degree nonzero at {tup}"
+        for r, k in ((1, 4), (2, 4)):
+            datum = slr.datum_slr(r, k)
+            for tup in combinations_with_replacement(datum.labels, 3):
+                if degree_04(datum, tup + (datum.unit,)) != 0:
+                    yield f"S_{r}({k}): vacuum degree nonzero at {tup}"
+
+    def factorization_splits():
+        for k in range(1, 4):
+            datum = sl2.datum_sl2(k)
+            for n in (4, 5, 6):
+                for tup in combinations_with_replacement(datum.labels, n):
+                    whole = rank_n(datum, tup)
+                    for cut in range(1, n):
+                        if rank_split(datum, tup[:cut], tup[cut:]) != whole:
+                            yield f"k={k}: split {cut} differs at {tup}"
+
+    def module_counts():
+        for k in range(1, 11):
+            if len(sl2.all_labels(k)) != k * (k + 1) // 2:
+                yield f"k={k}"
+            if slr.count_simple_modules(1, k) != k * (k + 1) // 2:
+                yield f"count formula at r=1, k={k}"
+            for r in (2, 3, 4):
+                slr.count_simple_modules(r, k)  # raises if not integral
+
+    def class_degree():
+        for k in range(1, 4):
+            datum = sl2.datum_sl2(k)
+            for tup in combinations_with_replacement(datum.labels, 4):
+                cls = divisor_class(datum, tup)
+                total = cls.mu * sum((datum.cw(m) for m in tup), Q(0))
+                if total - sum(cls.boundary_coeffs.values()) != degree_04(datum, tup):
+                    yield f"k={k}: class/degree identity fails at {tup}"
 
     # the rank >= 3 weight table is knowingly not dual-symmetric; pin the fact
     datum33 = slr.datum_slr(3, 3)
     ones = slr.uniform_label(3, 3, 1)
-    checks.append(
+    return [
+        _case_check("axioms.datums", datum_axioms(), "unit/dual/fusion/weight axioms hold"),
         _check(
             "axioms.r3-weight-asymmetry",
             datum33.cw(ones) == 1 and datum33.cw(slr.dual_slr(ones)) == 2,
             "cw(1,1,1)=1 vs cw(2,2,2)=2 at r=3,k=3 (documented convention)",
-        )
-    )
-
-    ok = True
-    witness = ""
-    for k in range(1, 5):
-        datum = sl2.datum_sl2(k)
-        for tup in combinations_with_replacement(datum.labels, 4):
-            base_rank = rank_n(datum, tup)
-            base_deg = degree_04(datum, tup)
-            duals = [sl2.dual(m) for m in tup]
-            if rank_n(datum, duals) != base_rank or degree_04(datum, duals) != base_deg:
-                ok, witness = False, f"k={k}: duality fails at {tup}"
-                break
-            for perm in permutations(tup):
-                if rank_n(datum, perm) != base_rank or degree_04(datum, perm) != base_deg:
-                    ok, witness = False, f"k={k}: permutation fails at {perm}"
-                    break
-        if not ok:
-            break
-    checks.append(_check("axioms.permutation-duality", ok, witness or "all 4-tuples, k <= 4"))
-
-    ok = True
-    witness = ""
-    for k in range(1, 5):
-        datum = sl2.datum_sl2(k)
-        unit = datum.unit
-        for tup in combinations_with_replacement(datum.labels, 3):
-            if rank_n(datum, tup + (unit,)) != rank_n(datum, tup):
-                ok, witness = False, f"k={k}: vacuum changes rank at {tup}"
-                break
-            if degree_04(datum, tup + (unit,)) != 0:
-                ok, witness = False, f"k={k}: vacuum degree nonzero at {tup}"
-                break
-        if not ok:
-            break
-    for r, k in ((1, 4), (2, 4)):
-        datum = slr.datum_slr(r, k)
-        for tup in combinations_with_replacement(datum.labels, 3):
-            if degree_04(datum, tup + (datum.unit,)) != 0:
-                ok, witness = False, f"S_{r}({k}): vacuum degree nonzero at {tup}"
-                break
-    checks.append(_check("axioms.vacuum-propagation", ok, witness or "rank and degree, k <= 4"))
-
-    ok = True
-    witness = ""
-    for k in range(1, 4):
-        datum = sl2.datum_sl2(k)
-        for n in (4, 5, 6):
-            for tup in combinations_with_replacement(datum.labels, n):
-                whole = rank_n(datum, tup)
-                for cut in range(1, n):
-                    if rank_split(datum, tup[:cut], tup[cut:]) != whole:
-                        ok, witness = False, f"k={k}: split {cut} differs at {tup}"
-                        break
-    checks.append(_check("axioms.factorization-splits", ok, witness or "all splits, n <= 6, k <= 3"))
-
-    ok = True
-    witness = ""
-    for k in range(1, 11):
-        if len(sl2.all_labels(k)) != k * (k + 1) // 2:
-            ok, witness = False, f"k={k}"
-            break
-        if slr.count_simple_modules(1, k) != k * (k + 1) // 2:
-            ok, witness = False, f"count formula at r=1, k={k}"
-            break
-        for r in (2, 3, 4):
-            slr.count_simple_modules(r, k)  # raises if not integral
-    checks.append(_check("axioms.module-counts", ok, witness or "k(k+1)/2 and integral counts, r <= 4, k <= 10"))
-
-    ok = True
-    witness = ""
-    for k in range(1, 4):
-        datum = sl2.datum_sl2(k)
-        for tup in combinations_with_replacement(datum.labels, 4):
-            cls = divisor_class(datum, tup)
-            total = cls.mu * sum((datum.cw(m) for m in tup), Q(0))
-            if total - sum(cls.boundary_coeffs.values()) != degree_04(datum, tup):
-                ok, witness = False, f"k={k}: class/degree identity fails at {tup}"
-                break
-    checks.append(_check("axioms.class-degree", ok, witness or "n=4 identity exact, k <= 3"))
-    return checks
+        ),
+        _case_check("axioms.permutation-duality", permutation_duality(), "all 4-tuples, k <= 4"),
+        _case_check("axioms.vacuum-propagation", vacuum_propagation(), "rank and degree, k <= 4"),
+        _case_check("axioms.factorization-splits", factorization_splits(), "all splits, n <= 6, k <= 3"),
+        _case_check("axioms.module-counts", module_counts(), "k(k+1)/2 and integral counts, r <= 4, k <= 10"),
+        _case_check("axioms.class-degree", class_degree(), "n=4 identity exact, k <= 3"),
+    ]
 
 
 CRITERIA: Dict[int, Callable[..., List[Check]]] = {

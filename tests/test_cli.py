@@ -153,3 +153,19 @@ def test_parse_label_dispatch():
     assert parse_label("Z[2]@5") == fp.CyclicLabel(5, 2)
     with pytest.raises(fp.LabelDomainError):
         parse_label("X[1]@2")
+
+
+def test_scan_subring_refused_without_that_subring(capsys):
+    code, out, err = run_cli(capsys, "scan", "--algebra", "affine", "--level", "6", "--subring", "T")
+    assert code == 2 and out == ""
+    assert "--algebra affine has no subring T; it has full" in err
+    code, out, err = run_cli(capsys, "scan", "--algebra", "slr", "--rank", "2", "--level", "3", "--subring", "S1")
+    assert code == 2 and "no subring S1" in err
+
+
+def test_lambda_subring_refused_without_that_subring(capsys):
+    code, out, err = run_cli(capsys, "lambda", "--algebra", "cyclic", "--level", "4", "--subring", "S1")
+    assert code == 2 and out == ""
+    assert "--algebra cyclic has no subring S1; it has full" in err
+    code, out, _ = run_cli(capsys, "lambda", "--algebra", "cyclic", "--level", "4", "--subring", "full")
+    assert code == 0 and out.strip() == "9/2"

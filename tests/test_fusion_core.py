@@ -324,3 +324,47 @@ def test_datum_construction_validation():
             cw_fn=lambda m: Q(1),  # unit weight must vanish
             central_charge=Q(0),
         )
+
+
+def test_validate_rejects_broken_unit_law():
+    datum = FusionDatum(
+        name="broken",
+        labels=("e", "x"),
+        unit="e",
+        dual_fn=lambda m: m,
+        fuse_fn=lambda a, b: {"x": 1},  # e (x) e should be e
+        cw_fn=lambda m: Q(0),
+        central_charge=Q(0),
+    )
+    with pytest.raises(fp.DomainError, match="unit law"):
+        datum.validate()
+
+
+def test_validate_rejects_dual_asymmetric_weights():
+    datum = FusionDatum(
+        name="Z/3",
+        labels=(0, 1, 2),
+        unit=0,
+        dual_fn=lambda m: -m % 3,
+        fuse_fn=lambda a, b: {(a + b) % 3: 1},
+        cw_fn=lambda m: Q(m, 3),  # cw(1) = 1/3 but cw(dual 1) = cw(2) = 2/3
+        central_charge=Q(0),
+    )
+    with pytest.raises(fp.DomainError, match="dual-symmetric"):
+        datum.validate()
+    datum.validate(check_cw_duality=False)
+
+
+def test_validate_rejects_asymmetric_rank3():
+    datum = FusionDatum(
+        name="broken",
+        labels=(0, 1),
+        unit=0,
+        dual_fn=lambda m: m,
+        fuse_fn=lambda a, b: {max(a, b): 1},  # 1 (x) 1 = 1, so rank3(1,1,0) = 0 but rank3(1,0,1) = 1
+        cw_fn=lambda m: Q(m, 2),
+        central_charge=Q(0),
+    )
+    with pytest.raises(fp.DomainError, match="Sym\\(3\\)"):
+        datum.validate()
+    datum.validate(check_rank3_symmetry=False)
