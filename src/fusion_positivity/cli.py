@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
-import os
 import json
 import sys
 import time
@@ -20,7 +19,7 @@ from fractions import Fraction
 from types import ModuleType
 from typing import Any, List, NamedTuple, Sequence, Tuple
 
-from .errors import FusionError, LabelDomainError
+from .errors import ArityError, FusionError, LabelDomainError
 from .fusion_core import (
     FCurve,
     FusionDatum,
@@ -213,6 +212,8 @@ def _cmd_cw(args, datum: FusionDatum, labels: list) -> Output:
 
 
 def _cmd_fuse(args, datum: FusionDatum, labels: list) -> Output:
+    if len(labels) != 2:
+        raise ArityError(f"need exactly 2 modules, got {len(labels)}")
     a, b = labels
     terms = [(str(m), mult) for m, mult in expand_fusion(datum, a, b)]
     return Output(
@@ -261,8 +262,7 @@ def _cmd_trivial(args, datum: FusionDatum, labels: list) -> Output:
 
 
 def _cmd_scan(args, datum: FusionDatum, subring: tuple) -> Output:
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    report = scan_f_positivity(datum, subring, jobs=jobs)
+    report = scan_f_positivity(datum, subring)
     lines = [
         f"examined {report.tuples_examined} multisets over {len(subring)} labels",
         f"min degree {report.min_degree}",
@@ -289,7 +289,7 @@ def _cmd_certificate(args, datum: FusionDatum, subring: tuple) -> Output:
         f"abelian {cert.abelian}",
         f"f_min {cert.f_min}",
         f"f_max {cert.f_max}",
-        f"interval {cert.c_interval if cert.c_interval else 'none'}",
+        f"interval {_format_value(cert.c_interval) if cert.c_interval else 'none'}",
     ]
     rows = [
         ("field", "value"),
@@ -330,7 +330,7 @@ def _cmd_pairing(args) -> Output:
 
 
 def _cmd_verify(args) -> Output:
-    checks = run_suite(args.suite, max_level=args.max_level, jobs=args.jobs)
+    checks = run_suite(args.suite, max_level=args.max_level)
     lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in checks]
     rows: List[Sequence[Any]] = [("check", "passed", "detail")]
     rows.extend((c.name, c.passed, c.detail) for c in checks)
@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", type=int)
         p.add_argument("--subring", choices=SUBRINGS, default="full")
         if name == "scan":
-            p.add_argument("--jobs", type=int, default=None)
+            p.add_argument("--jobs", type=int, default=1, help="accepted and ignored; the scan is serial")
         p.set_defaults(func=fn, context=_subring)
 
     p = subs.add_parser("pairing", parents=[output], help="verify a proportional subring pairing")
@@ -390,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", parents=[output], help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_verify, context=_no_context)
 
     return parser

@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import comb, lcm
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -45,11 +46,11 @@ Q = Fraction
 class FusionDatum:
     """Finite fusion-ring skeleton: labels, unit, duals, fusion, weights, central charge.
 
-    Immutable after construction (the fusion table and rank/degree caches fill
-    lazily but idempotently, so sharing across workers is safe).  ``fuse_fn``
-    must be a picklable callable mapping a pair of labels to a
+    Immutable after construction (the fusion table and rank/degree/leg caches
+    fill lazily but idempotently).  ``fuse_fn`` maps a pair of labels to a
     ``{label: multiplicity}`` expansion; duals and weights are tabulated
-    eagerly.
+    eagerly, the weights also as integers over one common denominator so that
+    degree sums run in integers and become a ``Fraction`` once.
     """
 
     __slots__ = (
@@ -60,6 +61,8 @@ class FusionDatum:
         "_index",
         "_dual",
         "_cw",
+        "_cw_den",
+        "_cw_num",
         "_fuse_fn",
         "_fusion",
         "_rank_cache",
@@ -88,6 +91,8 @@ class FusionDatum:
         self.central_charge = Fraction(central_charge)
         self._dual = {m: dual_fn(m) for m in self.labels}
         self._cw = {m: Fraction(cw_fn(m)) for m in self.labels}
+        self._cw_den = lcm(*(w.denominator for w in self._cw.values()))
+        self._cw_num = {m: w.numerator * (self._cw_den // w.denominator) for m, w in self._cw.items()}
         self._fuse_fn = fuse_fn
         self._fusion: dict = {}
         self._rank_cache: dict = {}
@@ -392,7 +397,9 @@ def degree_04(datum: FusionDatum, modules: Sequence[Label]) -> Fraction:
 
     mu * sum(cw) minus, for each pairing of the first module with another, the
     channel-weight sum sum_W cw(W) * rank3(m1, mp, W) * rank3(mq, mr, dual W).
-    Returns 0 whenever the rank vanishes.
+    The rank mu is the channel count of the first pairing; weights are summed
+    as integers over the datum's common denominator.  Returns 0 whenever the
+    rank vanishes.
     """
     ms = _check_modules(datum, modules, minimum=4, maximum=4)
     m1, rest = ms[0], ms[1:]
@@ -400,21 +407,23 @@ def degree_04(datum: FusionDatum, modules: Sequence[Label]) -> Fraction:
     cached = datum._deg4_cache.get(key)
     if cached is not None:
         return cached
-    mu = rank_n(datum, ms)
-    if mu == 0:
-        result = Fraction(0)
-    else:
-        result = mu * sum((datum.cw(m) for m in ms), Fraction(0))
-        for p in range(3):
-            mp = rest[p]
-            mq, mr = (rest[q] for q in range(3) if q != p)
-            side1 = datum.fuse(m1, mp)
-            side2 = datum.fuse(mq, mr)
-            for x, mult1 in side1.items():
-                xd = datum.dual(x)
-                mult2 = side2.get(xd)
-                if mult2:
-                    result -= datum.cw(xd) * (mult1 * mult2)
+    dual, cw = datum._dual, datum._cw_num
+    mu = 0
+    channels = 0
+    for p in range(3):
+        mp = rest[p]
+        mq, mr = (rest[q] for q in range(3) if q != p)
+        side2 = datum.fuse(mq, mr)
+        for x, mult1 in datum.fuse(m1, mp).items():
+            xd = dual[x]
+            mult2 = side2.get(xd)
+            if mult2:
+                channels += cw[xd] * (mult1 * mult2)
+                if p == 0:
+                    mu += mult1 * mult2
+        if mu == 0:
+            break  # every pairing counts the same rank, so the other two add nothing
+    result = Fraction(mu * sum(cw[m] for m in ms) - channels, datum._cw_den)
     datum._deg4_cache[key] = result
     return result
 
@@ -423,7 +432,9 @@ def divisor_class(datum: FusionDatum, modules: Sequence[Label]) -> DivisorClass:
     """Divisor class on the moduli of n-pointed rational curves (n >= 4).
 
     psi_coeffs[i] = mu * cw(M^i); the boundary coefficient at a canonical
-    subset I is sum_W cw(W) * rank(M^I + [W]) * rank(M^{I^c} + [dual W]).
+    subset I is sum_W cw(W) * rank(M^I + [W]) * rank(M^{I^c} + [dual W]),
+    read off the leg supports of I and I^c: rank(M^I + [W]) is the
+    multiplicity of dual W in the fusion product of M^I.
     """
     ms = _check_modules(datum, modules, minimum=4)
     n = len(ms)
@@ -434,17 +445,14 @@ def divisor_class(datum: FusionDatum, modules: Sequence[Label]) -> DivisorClass:
         for subset in combinations(range(1, n + 1), size):
             if canonical_boundary_key(subset, n) != subset:
                 continue
-            inside = [ms[i - 1] for i in subset]
-            outside = [ms[i - 1] for i in range(1, n + 1) if i not in set(subset)]
-            coeff = Fraction(0)
-            for w in datum.labels:
-                r1 = rank_n(datum, inside + [w])
-                if r1 == 0:
-                    continue
-                r2 = rank_n(datum, outside + [datum.dual(w)])
-                if r2:
-                    coeff += datum.cw(w) * (r1 * r2)
-            boundary[subset] = coeff
+            inside = dict(_leg_support(datum, tuple(ms[i - 1] for i in subset)))
+            outside = tuple(ms[i - 1] for i in range(1, n + 1) if i not in set(subset))
+            total = 0
+            for w, r2 in _leg_support(datum, outside):
+                r1 = inside.get(datum._dual[w])
+                if r1:
+                    total += datum._cw_num[w] * (r1 * r2)
+            boundary[subset] = Fraction(total, datum._cw_den)
     return DivisorClass(n=n, mu=mu, psi_coeffs=psi, boundary_coeffs=boundary)
 
 
@@ -477,16 +485,25 @@ def fcurve_intersect(datum: FusionDatum, modules: Sequence[Label], curve: FCurve
 
 
 def _leg_support(datum: FusionDatum, leg: tuple) -> tuple:
-    """Nonzero channels of an F-curve leg: (W, rank(leg + [dual W])) pairs (cached)."""
+    """Nonzero channels of an F-curve leg: (W, rank(leg + [dual W])) pairs (cached).
+
+    rank(leg + [dual W]) is the multiplicity of W in the fusion product of the
+    leg, so the support is that product, folded pair by pair, in label order.
+    Its labels are the datum's own objects, which later lookups find by
+    identity instead of by a field-by-field comparison.
+    """
     key = tuple(sorted(datum.sort_key(m) for m in leg))
     cached = datum._leg_cache.get(key)
     if cached is None:
-        sup = []
-        for w in datum.labels:
-            r = rank_n(datum, leg + (datum.dual(w),))
-            if r:
-                sup.append((w, r))
-        cached = tuple(sup)
+        fused = {leg[0]: 1}
+        for m in leg[1:]:
+            folded: dict = {}
+            for x, mx in fused.items():
+                for y, my in datum.fuse(x, m).items():
+                    folded[y] = folded.get(y, 0) + mx * my
+            fused = folded
+        by_index = sorted((datum._index[w], r) for w, r in fused.items())
+        cached = tuple((datum.labels[i], r) for i, r in by_index)
         datum._leg_cache[key] = cached
     return cached
 
@@ -530,60 +547,38 @@ def is_trivial(datum: FusionDatum, modules: Sequence[Label]) -> bool:
     return True
 
 
-def _scan_block(datum: FusionDatum, sub: tuple, first_indices: Sequence[int]):
-    """Scan all 4-multisets whose least label index lies in ``first_indices``."""
-    fuse = datum.fuse
-    dual = datum._dual
-    examined = 0
-    min_degree: Optional[Fraction] = None
-    negatives = []
-    for i in first_indices:
-        a = sub[i]
-        for b, c, d in combinations_with_replacement(sub[i:], 3):
-            examined += 1
-            side1 = fuse(a, b)
-            side2 = fuse(c, d)
-            rank = 0
-            for x, mult1 in side1.items():
-                mult2 = side2.get(dual[x])
-                if mult2:
-                    rank += mult1 * mult2
-            if rank == 0:
-                continue
-            deg = degree_04(datum, (a, b, c, d))
-            if min_degree is None or deg < min_degree:
-                min_degree = deg
-            if deg < 0:
-                negatives.append(((a, b, c, d), deg))
-    return examined, min_degree, negatives
-
-
 def scan_f_positivity(datum: FusionDatum, subring_labels: Iterable[Label], jobs: int = 1) -> ScanReport:
     """Exhaustive F-positivity scan over all unordered 4-multisets of a subring.
 
     Records the minimum degree over the multisets of nonzero rank and every
-    strictly negative instance, in label-index enumeration order.  The result
-    is identical for any worker count.
+    strictly negative instance, in label-index enumeration order.  Only those
+    multisets are visited: for a <= b <= c they are the (a, b, c, d) with d the
+    dual of a channel of (a (x) b) (x) c and d >= c, and d lies in the subring
+    because it is closed under fusion and duals.  ``tuples_examined`` counts
+    every multiset, C(N + 3, 4).  The scan is serial; ``jobs`` is accepted and
+    ignored.
     """
     sub = validate_subring(datum, subring_labels)
     start = time.perf_counter()
-    indices = list(range(len(sub)))
-    if jobs <= 1 or len(sub) < 8:
-        parts = [_scan_block(datum, sub, indices)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [indices[j::jobs] for j in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_scan_block, [datum] * len(chunks), [sub] * len(chunks), chunks))
-    examined = sum(p[0] for p in parts)
-    mins = [p[1] for p in parts if p[1] is not None]
-    min_degree = min(mins) if mins else Fraction(0)
-    negatives = [neg for p in parts for neg in p[2]]
-    negatives.sort(key=lambda item: tuple(datum.sort_key(m) for m in item[0]))
+    index, dual, fuse = datum._index, datum._dual, datum.fuse
+    min_degree: Optional[Fraction] = None
+    negatives = []
+    for i, a in enumerate(sub):
+        for j in range(i, len(sub)):
+            b = sub[j]
+            ab = fuse(a, b)
+            for c in sub[j:]:
+                least = index[c]
+                closing = {dual[y] for x in ab for y in fuse(x, c)}
+                for d in sorted((d for d in closing if index[d] >= least), key=index.__getitem__):
+                    deg = degree_04(datum, (a, b, c, d))
+                    if min_degree is None or deg < min_degree:
+                        min_degree = deg
+                    if deg < 0:
+                        negatives.append(((a, b, c, d), deg))
     return ScanReport(
-        tuples_examined=examined,
-        min_degree=min_degree,
+        tuples_examined=comb(len(sub) + 3, 4),
+        min_degree=Fraction(0) if min_degree is None else min_degree,
         counterexamples=tuple(negatives),
         elapsed=time.perf_counter() - start,
     )

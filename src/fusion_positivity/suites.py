@@ -118,11 +118,11 @@ def criterion_02(max_level: int = 8) -> List[Check]:
 # -- criterion 3: F-positivity of the rank-2 residue subrings up to level 10 ---
 
 
-def criterion_03(max_level: int = 10, jobs: int = 1) -> List[Check]:
+def criterion_03(max_level: int = 10) -> List[Check]:
     checks = []
     for k in range(1, max_level + 1):
         datum = slr.datum_slr(2, k)
-        report = scan_f_positivity(datum, datum.labels, jobs=jobs)
+        report = scan_f_positivity(datum, datum.labels)
         checks.append(
             _check(
                 f"s2-scan.k{k}",
@@ -683,7 +683,7 @@ SUITES: Dict[str, Sequence[int]] = {
 }
 
 
-def run_suite(name: str, max_level: Optional[int] = None, jobs: int = 1) -> List[Check]:
+def run_suite(name: str, max_level: Optional[int] = None) -> List[Check]:
     """Run a named suite; ``max_level`` tightens the level-parameterized criteria."""
     if name not in SUITES:
         raise KeyError(name)
@@ -693,7 +693,5 @@ def run_suite(name: str, max_level: Optional[int] = None, jobs: int = 1) -> List
         kwargs = {}
         if number in (2, 3, 9, 11, 12) and max_level is not None:
             kwargs["max_level"] = max_level
-        if number == 3:
-            kwargs["jobs"] = jobs
         checks.extend(fn(**kwargs))
     return checks

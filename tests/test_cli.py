@@ -67,6 +67,15 @@ def test_fuse_and_cw(capsys):
     assert code == 0 and out.strip().endswith("2/5")
 
 
+def test_fuse_needs_exactly_two_modules(capsys):
+    code, out, err = run_cli(capsys, "fuse", "M[1,0]@3")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: need exactly 2 modules, got 1"
+    code, out, err = run_cli(capsys, "fuse", "M[1,0]@3", "M[1,0]@3", "M[2,0]@3")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: need exactly 2 modules, got 3"
+
+
 def test_json_format(capsys):
     code, out, _ = run_cli(
         capsys, "degree", "--format", "json",

@@ -1,12 +1,13 @@
 """Engine-level tests: fusion expansion, ranks, degrees, classes, F-curves, scans."""
 
+import random
 from fractions import Fraction as Q
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
 import fusion_positivity as fp
-from fusion_positivity.fusion_core import FusionDatum
+from fusion_positivity.fusion_core import FusionDatum, _leg_support
 
 
 def lab(k, i, j):
@@ -196,6 +197,111 @@ def test_scan_worker_determinism():
     serial = fp.scan_f_positivity(d, d.labels, jobs=1)
     parallel = fp.scan_f_positivity(d, d.labels, jobs=2)
     assert serial == parallel  # elapsed excluded from equality
+
+
+def _reference_scan(datum, subring):
+    """Examine every 4-multiset and keep those of nonzero rank by rank_n (the scan enumerates them instead)."""
+    sub = fp.validate_subring(datum, subring)
+    examined, min_degree, negatives = 0, None, []
+    for quad in combinations_with_replacement(sub, 4):
+        examined += 1
+        if fp.rank_n(datum, quad) == 0:
+            continue
+        deg = fp.degree_04(datum, quad)
+        if min_degree is None or deg < min_degree:
+            min_degree = deg
+        if deg < 0:
+            negatives.append((quad, deg))
+    return fp.ScanReport(examined, Q(0) if min_degree is None else min_degree, tuple(negatives))
+
+
+def _scan_rings():
+    for k in range(1, 7):
+        d = fp.datum_sl2(k)
+        yield pytest.param(d, d.labels, id=f"sl2-{k}")
+        yield pytest.param(d, fp.subring_T(k), id=f"sl2-{k}-T")
+        yield pytest.param(d, fp.subring_S1(k), id=f"sl2-{k}-S1")
+    for k in range(1, 6):
+        d = fp.datum_slr(2, k)
+        yield pytest.param(d, d.labels, id=f"S2-{k}")
+    d = fp.datum_slr(3, 3)  # weights not dual-symmetric
+    yield pytest.param(d, d.labels, id="S3-3")
+    for k in range(1, 7):
+        d = fp.datum_affine_sl2(k)
+        yield pytest.param(d, d.labels, id=f"affine-{k}")
+    for m in range(1, 9):
+        d = fp.datum_cyclic(m)
+        yield pytest.param(d, d.labels, id=f"cyclic-{m}")
+
+
+@pytest.mark.parametrize("datum, subring", _scan_rings())
+def test_scan_matches_every_multiset_reference(datum, subring):
+    report = fp.scan_f_positivity(datum, subring)
+    reference = _reference_scan(datum, subring)
+    assert report.tuples_examined == reference.tuples_examined
+    assert report.min_degree == reference.min_degree
+    assert report.counterexamples == reference.counterexamples
+
+
+def _leg_rings():
+    datums = [fp.datum_sl2(k) for k in range(1, 6)] + [fp.datum_slr(2, k) for k in range(1, 5)]
+    datums += [fp.datum_slr(3, 3), fp.datum_slr(4, 2)]
+    datums += [fp.datum_affine_sl2(k) for k in range(1, 7)] + [fp.datum_cyclic(m) for m in range(1, 8)]
+    return [pytest.param(d, id=d.name) for d in datums]
+
+
+def _legs(datum):
+    """Every leg of 1-4 labels; past 10,000 four-label legs (S_3(3) has 27,405), a seeded 3,000 of those.
+
+    The rank_n reference makes one call per label and leg, so all of S_3(3) would take about 12 s.
+    """
+    yield from (leg for size in range(1, 4) for leg in combinations_with_replacement(datum.labels, size))
+    fours = list(combinations_with_replacement(datum.labels, 4))
+    if len(fours) > 10_000:
+        fours = random.Random(datum.name).sample(fours, 3000)
+    yield from fours
+
+
+@pytest.mark.parametrize("datum", _leg_rings())
+def test_leg_support_matches_rank_per_label(datum):
+    for leg in _legs(datum):
+        expected = []
+        for w in datum.labels:
+            r = fp.rank_n(datum, leg + (datum.dual(w),))
+            if r:
+                expected.append((w, r))
+        assert _leg_support(datum, leg) == tuple(expected), leg
+
+
+def _reference_class(datum, ms):
+    """Boundary coefficients summed over every label, with one rank_n call per label and side."""
+    n = len(ms)
+    boundary = {}
+    for size in range(2, n // 2 + 1):
+        for subset in combinations(range(1, n + 1), size):
+            if fp.canonical_boundary_key(subset, n) != subset:
+                continue
+            inside = [ms[i - 1] for i in subset]
+            outside = [ms[i - 1] for i in range(1, n + 1) if i not in subset]
+            boundary[subset] = sum(
+                (
+                    datum.cw(w) * fp.rank_n(datum, inside + [w]) * fp.rank_n(datum, outside + [datum.dual(w)])
+                    for w in datum.labels
+                ),
+                Q(0),
+            )
+    mu = fp.rank_n(datum, ms)
+    return mu, tuple(mu * datum.cw(m) for m in ms), boundary
+
+
+@pytest.mark.parametrize("datum", _leg_rings())
+def test_divisor_class_matches_rank_per_label(datum):
+    rng = random.Random(f"class:{datum.name}")
+    for n in (5, 6):
+        for _ in range(6):
+            ms = [rng.choice(datum.labels) for _ in range(n)]
+            cls = fp.divisor_class(datum, ms)
+            assert (cls.mu, cls.psi_coeffs, dict(cls.boundary_coeffs)) == _reference_class(datum, ms), ms
 
 
 def test_scan_report_invariant():
