@@ -99,6 +99,7 @@ def _modules(args) -> Tuple[FusionDatum, list]:
         raise LabelDomainError("labels mix algebras or parameters")
     if args.algebra not in (None, instance.name):
         raise LabelDomainError(f"label {first} does not belong to --algebra {args.algebra}")
+    _refuse_rank(args, instance)
     for attr, flag in instance.params:
         value = getattr(args, flag)
         if value is not None and value != getattr(first, attr):
@@ -109,6 +110,7 @@ def _modules(args) -> Tuple[FusionDatum, list]:
 def _subring(args) -> Tuple[FusionDatum, tuple]:
     """The datum named by --algebra/--level/--rank and the labels of its --subring."""
     instance = INSTANCES[args.algebra]
+    _refuse_rank(args, instance)
     params = tuple(getattr(args, flag) for _, flag in instance.params)
     for (_, flag), value in zip(instance.params, params):
         if value is None:
@@ -121,6 +123,11 @@ def _subring(args) -> Tuple[FusionDatum, tuple]:
     if args.subring == "full":
         return datum, datum.labels
     return datum, tuple(getattr(instance.module, subrings[args.subring])(*params))
+
+
+def _refuse_rank(args, instance: Instance) -> None:
+    if args.rank is not None and all(flag != "rank" for _, flag in instance.params):
+        raise LabelDomainError(f"--algebra {instance.name} takes no --rank")
 
 
 def _no_context(args) -> tuple:

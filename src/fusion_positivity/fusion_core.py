@@ -46,11 +46,12 @@ Q = Fraction
 class FusionDatum:
     """Finite fusion-ring skeleton: labels, unit, duals, fusion, weights, central charge.
 
-    Immutable after construction (the fusion table and rank/degree/leg caches
-    fill lazily but idempotently).  ``fuse_fn`` maps a pair of labels to a
-    ``{label: multiplicity}`` expansion; duals and weights are tabulated
-    eagerly, the weights also as integers over one common denominator so that
-    degree sums run in integers and become a ``Fraction`` once.
+    Compiled to label indices 0..N-1 at construction: duals are a list of
+    indices, weights also integers over one common denominator, and
+    ``_table`` fills each ``fuse_fn`` product lazily as {channel index:
+    multiplicity}.  The engine runs on indices; ``dual``, ``cw``, ``fuse`` and
+    ``rank3`` are the label API over them.  Immutable after construction (the
+    fusion table and the rank and leg caches fill lazily but idempotently).
     """
 
     __slots__ = (
@@ -66,7 +67,6 @@ class FusionDatum:
         "_fuse_fn",
         "_fusion",
         "_rank_cache",
-        "_deg4_cache",
         "_leg_cache",
     )
 
@@ -89,26 +89,43 @@ class FusionDatum:
             raise DomainError(f"{name}: unit {unit!r} not among labels")
         self.unit = unit
         self.central_charge = Fraction(central_charge)
-        self._dual = {m: dual_fn(m) for m in self.labels}
-        self._cw = {m: Fraction(cw_fn(m)) for m in self.labels}
-        self._cw_den = lcm(*(w.denominator for w in self._cw.values()))
-        self._cw_num = {m: w.numerator * (self._cw_den // w.denominator) for m, w in self._cw.items()}
+        self._dual = [self._index.get(dual_fn(m)) for m in self.labels]
+        self._cw = [Fraction(cw_fn(m)) for m in self.labels]
+        self._cw_den = lcm(*(w.denominator for w in self._cw))
+        self._cw_num = [w.numerator * (self._cw_den // w.denominator) for w in self._cw]
         self._fuse_fn = fuse_fn
         self._fusion: dict = {}
         self._rank_cache: dict = {}
-        self._deg4_cache: dict = {}
         self._leg_cache: dict = {}
-        for m, md in self._dual.items():
-            if md not in self._index:
+        for i, m in enumerate(self.labels):
+            if self._dual[i] is None:
                 raise DomainError(f"{name}: dual of {m!r} leaves the label set")
-            if self._dual[md] != m:
+            if self._dual[self._dual[i]] != i:
                 raise DomainError(f"{name}: dual is not involutive at {m!r}")
-        if self._dual[self.unit] != self.unit:
+        u = self._index[unit]
+        if self._dual[u] != u:
             raise DomainError(f"{name}: unit is not self-dual")
-        if self._cw[self.unit] != 0:
+        if self._cw[u] != 0:
             raise DomainError(f"{name}: unit has nonzero conformal weight")
 
-    # -- basic accessors ----------------------------------------------------
+    # -- the integer kernel ---------------------------------------------------
+
+    def _table(self, i: int, j: int) -> dict:
+        """Fusion product of label indices i and j as {channel index: multiplicity} (cached)."""
+        key = (i, j) if i <= j else (j, i)
+        table = self._fusion.get(key)
+        if table is None:
+            x, y = self.labels[key[0]], self.labels[key[1]]
+            terms = dict(self._fuse_fn(x, y))
+            if not terms:
+                raise DomainError(f"{self.name}: empty fusion product {x!r}*{y!r}")
+            for m, mult in terms.items():
+                if m not in self._index or mult < 1:
+                    raise DomainError(f"{self.name}: bad fusion term {m!r}:{mult} in {x!r}*{y!r}")
+            table = self._fusion[key] = {self._index[m]: mult for m, mult in terms.items()}
+        return table
+
+    # -- label API --------------------------------------------------------------
 
     def index(self, m: Label) -> int:
         try:
@@ -117,35 +134,18 @@ class FusionDatum:
             raise LabelDomainError(f"{self.name}: unknown label {m!r}") from None
 
     def dual(self, m: Label) -> Label:
-        self.index(m)
-        return self._dual[m]
+        return self.labels[self._dual[self.index(m)]]
 
     def cw(self, m: Label) -> Fraction:
-        self.index(m)
-        return self._cw[m]
+        return self._cw[self.index(m)]
 
     def fuse(self, a: Label, b: Label) -> Mapping[Label, int]:
-        """Fusion product a (x) b as a {label: multiplicity} table (cached)."""
-        ia, ib = self.index(a), self.index(b)
-        key = (ia, ib) if ia <= ib else (ib, ia)
-        table = self._fusion.get(key)
-        if table is None:
-            x, y = self.labels[key[0]], self.labels[key[1]]
-            table = dict(self._fuse_fn(x, y))
-            if not table:
-                raise DomainError(f"{self.name}: empty fusion product {x!r}*{y!r}")
-            for m, mult in table.items():
-                if m not in self._index or mult < 1:
-                    raise DomainError(f"{self.name}: bad fusion term {m!r}:{mult} in {x!r}*{y!r}")
-            self._fusion[key] = table
-        return table
+        """Fusion product a (x) b as a {label: multiplicity} table."""
+        return {self.labels[x]: mult for x, mult in self._table(self.index(a), self.index(b)).items()}
 
     def rank3(self, a: Label, b: Label, c: Label) -> int:
         """Rank of the 3-pointed bundle: multiplicity of dual(c) in a (x) b."""
-        return self.fuse(a, b).get(self.dual(c), 0)
-
-    def sort_key(self, m: Label):
-        return self._index[m]
+        return self._table(self.index(a), self.index(b)).get(self._dual[self.index(c)], 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FusionDatum({self.name}, {len(self.labels)} labels)"
@@ -155,32 +155,31 @@ class FusionDatum:
     def validate(self, *, check_cw_duality: bool = True, check_rank3_symmetry: bool = True) -> None:
         """Check the datum axioms; raises DomainError on the first violation.
 
-        Full rank3 symmetry is cubic in the number of labels, so callers guard
-        it for large instances.  ``check_cw_duality`` can be switched off for
-        instances whose shipped weight table is knowingly not dual-symmetric.
+        Rank3 symmetry is checked on the nonzero fusion entries only, so it is
+        quadratic in the number of labels times the channels per product.
+        ``check_cw_duality`` can be switched off for instances whose shipped
+        weight table is knowingly not dual-symmetric.
         """
-        for m in self.labels:
-            table = self.fuse(self.unit, m)
-            if table != {m: 1}:
-                raise DomainError(f"{self.name}: unit law fails at {m!r}: {table}")
-            if check_cw_duality and self._cw[m] != self._cw[self._dual[m]]:
+        u = self._index[self.unit]
+        for i, m in enumerate(self.labels):
+            if self._table(u, i) != {i: 1}:
+                raise DomainError(f"{self.name}: unit law fails at {m!r}: {self.fuse(self.unit, m)}")
+            if check_cw_duality and self._cw[i] != self._cw[self._dual[i]]:
                 raise DomainError(f"{self.name}: cw not dual-symmetric at {m!r}")
         # the unit law and the involutive dual (checked at construction) give
         # rank3(unit, a, b) == [b == dual(a)] for every pair, so it is not rechecked
         if check_rank3_symmetry:
-            for a in self.labels:
-                for b in self.labels:
-                    for c in self.labels:
-                        r = self.rank3(a, b, c)
-                        if not (
-                            r == self.rank3(b, a, c)
-                            == self.rank3(a, c, b)
-                            == self.rank3(c, b, a)
-                            == self.rank3(b, c, a)
-                            == self.rank3(c, a, b)
-                        ):
+            # (a b) holds since tables are keyed by the unordered pair, and with (b c) it
+            # generates Sym(3); a zero side is checked from its nonzero partner's entry
+            labels, dual, n = self.labels, self._dual, len(self.labels)
+            for a in range(n):
+                for b in range(n):
+                    for x, mult in self._table(a, b).items():
+                        c = dual[x]
+                        if self._table(a, c).get(dual[b], 0) != mult:
                             raise DomainError(
-                                f"{self.name}: rank3 not Sym(3)-invariant at ({a!r},{b!r},{c!r})"
+                                f"{self.name}: rank3 not Sym(3)-invariant at "
+                                f"({labels[a]!r},{labels[b]!r},{labels[c]!r})"
                             )
 
 
@@ -302,13 +301,12 @@ class PositivityCertificate:
 
 
 def _check_modules(datum: FusionDatum, modules: Sequence[Label], *, minimum: int, maximum: Optional[int] = None) -> tuple:
+    """The label indices of ``modules``, after checking their number and that each is a label."""
     ms = tuple(modules)
     if len(ms) < minimum or (maximum is not None and len(ms) > maximum):
         span = f"exactly {minimum}" if maximum == minimum else f"at least {minimum}"
         raise ArityError(f"need {span} modules, got {len(ms)}")
-    for m in ms:
-        datum.index(m)
-    return ms
+    return tuple(datum.index(m) for m in ms)
 
 
 def canonical_boundary_key(subset: Iterable[int], n: int) -> tuple:
@@ -324,7 +322,7 @@ def canonical_boundary_key(subset: Iterable[int], n: int) -> tuple:
 
 def validate_subring(datum: FusionDatum, subring_labels: Iterable[Label]) -> tuple:
     """Sorted, de-duplicated subring labels; raises ClosureError if not closed."""
-    sub = sorted(set(subring_labels), key=datum.index)
+    sub = tuple(datum.labels[i] for i in sorted({datum.index(m) for m in subring_labels}))
     if not sub:
         raise ClosureError("empty subring")
     members = set(sub)
@@ -335,7 +333,7 @@ def validate_subring(datum: FusionDatum, subring_labels: Iterable[Label]) -> tup
         for term in datum.fuse(a, b):
             if term not in members:
                 raise ClosureError(f"subring not closed under fusion: {a!r}*{b!r} contains {term!r}")
-    return tuple(sub)
+    return sub
 
 
 # -- engine operations --------------------------------------------------------
@@ -343,9 +341,8 @@ def validate_subring(datum: FusionDatum, subring_labels: Iterable[Label]) -> tup
 
 def expand_fusion(datum: FusionDatum, a: Label, b: Label) -> FusionExpansion:
     """Fusion product a (x) b; the multiplicity of M equals rank3(a, b, dual(M))."""
-    table = datum.fuse(a, b)
-    terms = tuple(sorted(table.items(), key=lambda kv: datum.index(kv[0])))
-    return FusionExpansion(terms=terms)
+    table = datum._table(datum.index(a), datum.index(b))
+    return FusionExpansion(terms=tuple((datum.labels[x], mult) for x, mult in sorted(table.items())))
 
 
 def rank_n(datum: FusionDatum, modules: Sequence[Label]) -> int:
@@ -354,23 +351,25 @@ def rank_n(datum: FusionDatum, modules: Sequence[Label]) -> int:
     n = 2 is the dual-pairing convention [m2 == dual(m1)], n = 3 the fusion
     rule, and n >= 4 folds over channels of the last pair.  The result is
     independent of the input order; the memo cache is keyed by the sorted
-    label multiset.
+    index multiset.
     """
-    ms = _check_modules(datum, modules, minimum=2)
-    ms = tuple(sorted(ms, key=datum.sort_key))
+    return _rank(datum, tuple(sorted(_check_modules(datum, modules, minimum=2))))
+
+
+def _rank(datum: FusionDatum, ms: tuple) -> int:
+    """rank_n of a sorted tuple of label indices."""
     if len(ms) == 2:
-        return 1 if ms[1] == datum.dual(ms[0]) else 0
+        return 1 if ms[1] == datum._dual[ms[0]] else 0
     if len(ms) == 3:
-        return datum.rank3(*ms)
-    key = tuple(datum.sort_key(m) for m in ms)
-    cached = datum._rank_cache.get(key)
+        return datum._table(ms[0], ms[1]).get(datum._dual[ms[2]], 0)
+    cached = datum._rank_cache.get(ms)
     if cached is not None:
         return cached
     total = 0
     head = ms[:-2]
-    for channel, mult in datum.fuse(ms[-2], ms[-1]).items():
-        total += mult * rank_n(datum, head + (channel,))
-    datum._rank_cache[key] = total
+    for channel, mult in datum._table(ms[-2], ms[-1]).items():
+        total += mult * _rank(datum, tuple(sorted(head + (channel,))))
+    datum._rank_cache[ms] = total
     return total
 
 
@@ -397,24 +396,21 @@ def degree_04(datum: FusionDatum, modules: Sequence[Label]) -> Fraction:
 
     mu * sum(cw) minus, for each pairing of the first module with another, the
     channel-weight sum sum_W cw(W) * rank3(m1, mp, W) * rank3(mq, mr, dual W).
-    The rank mu is the channel count of the first pairing; weights are summed
-    as integers over the datum's common denominator.  Returns 0 whenever the
-    rank vanishes.
+    Returns 0 whenever the rank vanishes.
     """
-    ms = _check_modules(datum, modules, minimum=4, maximum=4)
+    return Fraction(_degree(datum, _check_modules(datum, modules, minimum=4, maximum=4)), datum._cw_den)
+
+
+def _degree(datum: FusionDatum, ms: Sequence[int]) -> int:
+    """degree_04 of four label indices as an integer over ``datum._cw_den``; mu counts the first pairing."""
+    dual, cw, table = datum._dual, datum._cw_num, datum._table
     m1, rest = ms[0], ms[1:]
-    key = (datum.sort_key(m1), tuple(sorted(datum.sort_key(m) for m in rest)))
-    cached = datum._deg4_cache.get(key)
-    if cached is not None:
-        return cached
-    dual, cw = datum._dual, datum._cw_num
     mu = 0
     channels = 0
     for p in range(3):
-        mp = rest[p]
         mq, mr = (rest[q] for q in range(3) if q != p)
-        side2 = datum.fuse(mq, mr)
-        for x, mult1 in datum.fuse(m1, mp).items():
+        side2 = table(mq, mr)
+        for x, mult1 in table(m1, rest[p]).items():
             xd = dual[x]
             mult2 = side2.get(xd)
             if mult2:
@@ -423,9 +419,7 @@ def degree_04(datum: FusionDatum, modules: Sequence[Label]) -> Fraction:
                     mu += mult1 * mult2
         if mu == 0:
             break  # every pairing counts the same rank, so the other two add nothing
-    result = Fraction(mu * sum(cw[m] for m in ms) - channels, datum._cw_den)
-    datum._deg4_cache[key] = result
-    return result
+    return mu * sum(cw[m] for m in ms) - channels
 
 
 def divisor_class(datum: FusionDatum, modules: Sequence[Label]) -> DivisorClass:
@@ -438,8 +432,8 @@ def divisor_class(datum: FusionDatum, modules: Sequence[Label]) -> DivisorClass:
     """
     ms = _check_modules(datum, modules, minimum=4)
     n = len(ms)
-    mu = rank_n(datum, ms)
-    psi = tuple(mu * datum.cw(m) for m in ms)
+    mu = _rank(datum, tuple(sorted(ms)))
+    psi = tuple(mu * datum._cw[m] for m in ms)
     boundary = {}
     for size in range(2, n // 2 + 1):
         for subset in combinations(range(1, n + 1), size):
@@ -474,37 +468,33 @@ def fcurve_intersect(datum: FusionDatum, modules: Sequence[Label], curve: FCurve
         if not sup:
             return Fraction(0)
         supports.append(sup)
-    total = Fraction(0)
+    total = 0
     for combo in product(*supports):
-        spine = [w for w, _ in combo]
         weight = 1
         for _, r in combo:
             weight *= r
-        total += degree_04(datum, spine) * weight
-    return total
+        total += _degree(datum, [w for w, _ in combo]) * weight
+    return Fraction(total, datum._cw_den)
 
 
 def _leg_support(datum: FusionDatum, leg: tuple) -> tuple:
-    """Nonzero channels of an F-curve leg: (W, rank(leg + [dual W])) pairs (cached).
+    """Nonzero channels of an F-curve leg of label indices: (W, rank(leg + [dual W])) pairs (cached).
 
     rank(leg + [dual W]) is the multiplicity of W in the fusion product of the
-    leg, so the support is that product, folded pair by pair, in label order.
-    Its labels are the datum's own objects, which later lookups find by
-    identity instead of by a field-by-field comparison.
+    leg, so the support is that product, folded pair by pair in the leg's
+    order, and listed in index order.
     """
-    key = tuple(sorted(datum.sort_key(m) for m in leg))
+    key = tuple(sorted(leg))
     cached = datum._leg_cache.get(key)
     if cached is None:
         fused = {leg[0]: 1}
         for m in leg[1:]:
             folded: dict = {}
             for x, mx in fused.items():
-                for y, my in datum.fuse(x, m).items():
+                for y, my in datum._table(x, m).items():
                     folded[y] = folded.get(y, 0) + mx * my
             fused = folded
-        by_index = sorted((datum._index[w], r) for w, r in fused.items())
-        cached = tuple((datum.labels[i], r) for i, r in by_index)
-        datum._leg_cache[key] = cached
+        cached = datum._leg_cache[key] = tuple(sorted(fused.items()))
     return cached
 
 
@@ -538,8 +528,8 @@ def is_trivial(datum: FusionDatum, modules: Sequence[Label]) -> bool:
     Relies on the standard fact that F-curve classes span the numerical curve
     space of the moduli of n-pointed rational curves.
     """
-    ms = _check_modules(datum, modules, minimum=4)
-    n = len(ms)
+    ms = tuple(modules)
+    n = len(_check_modules(datum, ms, minimum=4))
     for blocks in four_block_partitions(n):
         curve = FCurve.from_blocks(blocks, n)
         if fcurve_intersect(datum, ms, curve) != 0:
@@ -558,27 +548,26 @@ def scan_f_positivity(datum: FusionDatum, subring_labels: Iterable[Label], jobs:
     every multiset, C(N + 3, 4).  The scan is serial; ``jobs`` is accepted and
     ignored.
     """
-    sub = validate_subring(datum, subring_labels)
+    sub = [datum._index[m] for m in validate_subring(datum, subring_labels)]
     start = time.perf_counter()
-    index, dual, fuse = datum._index, datum._dual, datum.fuse
-    min_degree: Optional[Fraction] = None
+    labels, dual, table, den = datum.labels, datum._dual, datum._table, datum._cw_den
+    least: Optional[int] = None
     negatives = []
     for i, a in enumerate(sub):
         for j in range(i, len(sub)):
             b = sub[j]
-            ab = fuse(a, b)
+            ab = table(a, b)
             for c in sub[j:]:
-                least = index[c]
-                closing = {dual[y] for x in ab for y in fuse(x, c)}
-                for d in sorted((d for d in closing if index[d] >= least), key=index.__getitem__):
-                    deg = degree_04(datum, (a, b, c, d))
-                    if min_degree is None or deg < min_degree:
-                        min_degree = deg
+                closing = {dual[y] for x in ab for y in table(x, c)}
+                for d in sorted(d for d in closing if d >= c):
+                    deg = _degree(datum, (a, b, c, d))
+                    if least is None or deg < least:
+                        least = deg
                     if deg < 0:
-                        negatives.append(((a, b, c, d), deg))
+                        negatives.append(((labels[a], labels[b], labels[c], labels[d]), Fraction(deg, den)))
     return ScanReport(
         tuples_examined=comb(len(sub) + 3, 4),
-        min_degree=Fraction(0) if min_degree is None else min_degree,
+        min_degree=Fraction(0 if least is None else least, den),
         counterexamples=tuple(negatives),
         elapsed=time.perf_counter() - start,
     )
@@ -592,34 +581,34 @@ def positivity_certificate(datum: FusionDatum, subring_labels: Iterable[Label]) 
     nonnegative and f_max <= 2*f_min; paired with a clean F-positivity scan it
     certifies nefness of every divisor supported on the subring.
     """
-    sub = validate_subring(datum, subring_labels)
+    sub = [datum._index[m] for m in validate_subring(datum, subring_labels)]
     abelian = True
     for a, b in combinations_with_replacement(sub, 2):
-        table = datum.fuse(a, b)
+        table = datum._table(a, b)
         if len(table) != 1 or next(iter(table.values())) != 1:
             abelian = False
             break
-    nonunit = [m for m in sub if m != datum.unit]
-    if nonunit:
-        weights = [datum.cw(m) for m in nonunit]
+    unit = datum._index[datum.unit]
+    weights = [datum._cw[m] for m in sub if m != unit]
+    if weights:
         f_min, f_max = min(weights), max(weights)
     else:
         f_min = f_max = Fraction(0)
     interval = None
-    if abelian and f_max <= 2 * f_min and all(datum.cw(m) >= 0 for m in sub):
+    if abelian and f_max <= 2 * f_min and all(datum._cw[m] >= 0 for m in sub):
         interval = (Fraction(f_max, 2), f_min)
     return PositivityCertificate(abelian=abelian, f_min=f_min, f_max=f_max, c_interval=interval)
 
 
 def degree_11(datum: FusionDatum, w: Label) -> Fraction:
     """Degree of the genus-one 1-point divisor attached to a simple module."""
-    datum.index(w)
+    i = datum.index(w)
     half_c = Fraction(datum.central_charge, 2)
     total = Fraction(0)
-    for wt in datum.labels:
-        r = datum.rank3(w, wt, datum.dual(wt))
+    for t in range(len(datum.labels)):
+        r = datum._table(i, t).get(t, 0)  # rank3(w, wt, dual wt): the multiplicity of wt in w (x) wt
         if r:
-            total += (half_c + datum.cw(w) - 12 * datum.cw(wt)) * r
+            total += (half_c + datum._cw[i] - 12 * datum._cw[t]) * r
     return total
 
 
@@ -629,14 +618,14 @@ def lambda_threshold(datum: FusionDatum, subring_labels: Iterable[Label]) -> Fra
     W ranges over the subring, W~ over all labels with rank3(W, W~, dual W~)
     nonzero (the elliptic-tail channels).
     """
-    sub = validate_subring(datum, subring_labels)
+    sub = [datum._index[m] for m in validate_subring(datum, subring_labels)]
     half_c = Fraction(datum.central_charge, 2)
     best: Optional[Fraction] = None
-    for w in sub:
-        cw_w = datum.cw(w)
-        for wt in datum.labels:
-            if datum.rank3(w, wt, datum.dual(wt)) >= 1:
-                value = 12 * datum.cw(wt) - half_c - cw_w
+    for i in sub:
+        cw_w = datum._cw[i]
+        for t in range(len(datum.labels)):
+            if t in datum._table(i, t):  # rank3(w, wt, dual wt) >= 1
+                value = 12 * datum._cw[t] - half_c - cw_w
                 if best is None or value > best:
                     best = value
     if best is None or best < 0:

@@ -16,6 +16,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from . import affine_instances as affine
 from . import parafermion_sl2 as sl2
 from . import parafermion_slr as slr
+from .errors import DomainError
 from .fusion_core import (
     FCurve,
     degree_04,
@@ -567,10 +568,8 @@ def criterion_13() -> List[Check]:
         try:
             for k in range(1, 7):
                 sl2.datum_sl2(k).validate()
-            for k in range(1, 9):
+            for k in range(1, 11):
                 slr.datum_slr(2, k).validate()
-            for k in (9, 10):
-                slr.datum_slr(2, k).validate(check_rank3_symmetry=False)
             for r, kmax in ((3, 3), (4, 2)):
                 for k in range(1, kmax + 1):
                     slr.datum_slr(r, k).validate(check_cw_duality=(k <= 2))
@@ -687,6 +686,8 @@ def run_suite(name: str, max_level: Optional[int] = None) -> List[Check]:
     """Run a named suite; ``max_level`` tightens the level-parameterized criteria."""
     if name not in SUITES:
         raise KeyError(name)
+    if max_level is not None and max_level < 1:
+        raise DomainError(f"max_level must be at least 1, got {max_level}")
     checks: List[Check] = []
     for number in SUITES[name]:
         fn = CRITERIA[number]

@@ -178,3 +178,22 @@ def test_lambda_subring_refused_without_that_subring(capsys):
     assert "--algebra cyclic has no subring S1; it has full" in err
     code, out, _ = run_cli(capsys, "lambda", "--algebra", "cyclic", "--level", "4", "--subring", "full")
     assert code == 0 and out.strip() == "9/2"
+
+
+@pytest.mark.parametrize("level", ["0", "-3"])
+def test_verify_max_level_below_one_exits_2(capsys, level):
+    for suite in ("s2-fpositive", "pairings", "certificates"):
+        code, out, err = run_cli(capsys, "verify", suite, "--max-level", level)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: max_level must be at least 1, got {level}"
+
+
+def test_rank_refused_off_slr(capsys):
+    code, out, err = run_cli(capsys, "scan", "--algebra", "affine", "--level", "2", "--rank", "9", "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: --algebra affine takes no --rank"
+    code, out, err = run_cli(capsys, "cw", "--rank", "3", "M[1,0]@3")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: --algebra sl2 takes no --rank"
+    code, out, _ = run_cli(capsys, "cw", "--rank", "2", "S[1,0]@2,3")
+    assert code == 0 and out.strip() == "S[1,0]@2,3 2/3"

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as Q
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -262,15 +262,44 @@ def _legs(datum):
     yield from fours
 
 
+def _reference_support(datum, leg):
+    """(W, rank(leg + [dual W])) for every label W of nonzero rank, with one rank_n call per label."""
+    support = []
+    for w in datum.labels:
+        r = fp.rank_n(datum, tuple(leg) + (datum.dual(w),))
+        if r:
+            support.append((w, r))
+    return tuple(support)
+
+
 @pytest.mark.parametrize("datum", _leg_rings())
 def test_leg_support_matches_rank_per_label(datum):
     for leg in _legs(datum):
-        expected = []
-        for w in datum.labels:
-            r = fp.rank_n(datum, leg + (datum.dual(w),))
-            if r:
-                expected.append((w, r))
-        assert _leg_support(datum, leg) == tuple(expected), leg
+        expected = tuple((datum.index(w), r) for w, r in _reference_support(datum, leg))
+        assert _leg_support(datum, tuple(datum.index(m) for m in leg)) == expected, leg
+
+
+def _reference_intersection(datum, ms, curve):
+    """Sum over channel 4-tuples of degree_04 times the product of rank_n leg ranks, per label."""
+    supports = [_reference_support(datum, [ms[i - 1] for i in block]) for block in curve.blocks]
+    total = Q(0)
+    for combo in product(*supports):
+        weight = 1
+        for _, r in combo:
+            weight *= r
+        total += fp.degree_04(datum, [w for w, _ in combo]) * weight
+    return total
+
+
+@pytest.mark.parametrize("datum", _leg_rings())
+def test_fcurve_intersect_matches_rank_per_label(datum):
+    rng = random.Random(f"fcurve:{datum.name}")
+    for n in (5, 6):
+        curves = [fp.FCurve.from_blocks(blocks, n) for blocks in fp.four_block_partitions(n)]
+        for _ in range(4):
+            ms = [rng.choice(datum.labels) for _ in range(n)]
+            for curve in curves:
+                assert fp.fcurve_intersect(datum, ms, curve) == _reference_intersection(datum, ms, curve), (ms, curve)
 
 
 def _reference_class(datum, ms):
